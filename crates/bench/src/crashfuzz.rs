@@ -28,7 +28,9 @@
 
 use spp_cpu::{CpuConfig, SimResult};
 use spp_pmem::{persist_boundaries, FlushMode, TraceCounts, Variant};
-use spp_workloads::oracle::{record_bundle, BundleSpec, CrashBundle, ViolationKind};
+use spp_workloads::oracle::{
+    first_violation, record_bundle, BundleSpec, CrashBundle, ViolationKind,
+};
 use spp_workloads::BenchId;
 
 use crate::json::{array, JsonObject};
@@ -133,24 +135,16 @@ pub fn crash_points(events: &[spp_pmem::Event]) -> Vec<usize> {
 /// the first — hence minimal — failing witness, or `None` if every
 /// schedule up to `max_idx` recovers.
 pub fn minimal_witness(b: &CrashBundle, max_idx: usize, seeds: u64) -> Option<(Witness, usize)> {
-    let mut checks = 0;
-    for crash_idx in 0..=max_idx {
-        for seed in 0..seeds {
-            checks += 1;
-            if let Err(v) = b.check_crash(crash_idx, seed) {
-                return Some((
-                    Witness {
-                        crash_idx,
-                        seed,
-                        kind: v.kind,
-                        detail: v.detail,
-                    },
-                    checks,
-                ));
-            }
-        }
-    }
-    None
+    let (checks, first) = first_violation(0..=max_idx, seeds, |p, s| b.check_crash(p, s));
+    first.map(|(crash_idx, seed, v)| {
+        let w = Witness {
+            crash_idx,
+            seed,
+            kind: v.kind,
+            detail: v.detail,
+        };
+        (w, checks as usize)
+    })
 }
 
 /// One fuzz cell: a `(benchmark, variant, flush mode)` bundle and its

@@ -50,7 +50,7 @@
 use spp_cpu::{CpuConfig, SimErrorKind, SimResult, Simulator};
 use spp_mem::{FaultSpec, FaultStats};
 use spp_pmem::{TraceCounts, Variant};
-use spp_workloads::oracle::record_bundle;
+use spp_workloads::oracle::{first_violation, record_bundle};
 use spp_workloads::BenchId;
 
 use crate::crashfuzz::{crash_points, fuzz_bundle_spec, minimal_witness, SEEDS_PER_POINT};
@@ -205,14 +205,11 @@ fn crash_verdict(id: BenchId, variant: Variant, exp: &crate::Experiment) -> &'st
     if variant == Variant::LogPSf {
         let pts = crash_points(b.events());
         let step = (pts.len() / VERDICT_POINTS).max(1);
-        for &p in pts.iter().step_by(step) {
-            for seed in 0..SEEDS_PER_POINT {
-                if b.check_crash(p, seed).is_err() {
-                    return "violation";
-                }
-            }
+        let sample = pts.into_iter().step_by(step);
+        match first_violation(sample, SEEDS_PER_POINT, |p, s| b.check_crash(p, s)) {
+            (_, Some(_)) => "violation",
+            (_, None) => "recovers",
         }
-        "recovers"
     } else if minimal_witness(&b, b.events().len(), SEEDS_PER_POINT).is_some() {
         "violation"
     } else {

@@ -29,14 +29,15 @@ use std::time::Instant;
 
 use spp_cpu::{CpuConfig, Simulator};
 use spp_pmem::{FlushMode, PmemEnv, Variant};
-use spp_workloads::kv::{record_kv_bundle, KvBundleSpec, KvMix, KvSpec, KvWorkload};
+use spp_workloads::kv::{record_kv_bundle, KvBundle, KvBundleSpec, KvMix, KvSpec, KvWorkload};
+use spp_workloads::oracle::first_violation;
 
 use crate::crashfuzz::crash_points;
-use crate::journal::{CellStatus, Entry, Journal};
+use crate::journal::Journal;
 use crate::json::{self, parse, JsonObject, Value};
-use crate::parallel::run_indexed;
 use crate::schema;
 use crate::stream::{run_kv_streamed, KvStreamSpec};
+use crate::study::{journaled_cells, CellCodec, CellWitness};
 use crate::Harness;
 
 /// Checkpoint intervals the perf leg sweeps (WAL records between COW
@@ -137,17 +138,6 @@ impl KvCellSpec {
     }
 }
 
-/// A minimized must-fail witness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvWitness {
-    /// Crash point (index into the recorded event stream).
-    pub crash_idx: u64,
-    /// Reordering seed.
-    pub seed: u64,
-    /// What the oracle rejected (kebab label).
-    pub kind: String,
-}
-
 /// One measured cell. Fields a leg does not produce stay 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KvCell {
@@ -175,7 +165,7 @@ pub struct KvCell {
     /// Deterministic peak-memory bound in bytes (stream leg).
     pub peak_bound: u64,
     /// The minimized witness (must-fail cells that did fail).
-    pub witness: Option<KvWitness>,
+    pub witness: Option<CellWitness>,
     /// What went wrong, for a failed cell.
     pub error: Option<String>,
 }
@@ -331,18 +321,25 @@ fn run_must_pass_cell(scale: u64, seed: u64, seed_off: u64) -> KvCell {
     cell.events = b.events().len() as u64;
     cell.mutations = b.mutation_count() as u64;
     cell.points = points.len() as u64;
-    cell.ok = true;
-    'sweep: for &p in &points {
-        for s in 0..CRASH_SEEDS {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash(p, s) {
-                cell.ok = false;
-                cell.error = Some(format!("crash_idx {p}, seed {s}: {v}"));
-                break 'sweep;
-            }
-        }
-    }
+    let (checks, first) = first_violation(points, CRASH_SEEDS, |p, s| b.check_crash(p, s));
+    cell.checks = checks;
+    cell.ok = first.is_none();
+    cell.error = first.map(|(p, s, v)| format!("crash_idx {p}, seed {s}: {v}"));
     cell
+}
+
+/// Scans every `(crash_idx, seed)` of `b` in lexicographic order into
+/// `cell`; the first failure is the minimal witness.
+fn scan_for_witness(b: &KvBundle, cell: &mut KvCell) {
+    cell.events = b.events().len() as u64;
+    cell.mutations = b.mutation_count() as u64;
+    cell.points = b.events().len() as u64 + 1;
+    let (checks, first) = first_violation(0..=b.events().len(), CRASH_SEEDS, |p, s| {
+        b.check_crash(p, s)
+    });
+    cell.checks = checks;
+    cell.witness = CellWitness::of(first);
+    cell.ok = cell.witness.is_some();
 }
 
 /// Scans a `Log` bundle's `(crash_idx, seed)` space in lexicographic
@@ -358,23 +355,7 @@ fn run_must_fail_cell(scale: u64, seed: u64, seed_off: u64) -> KvCell {
         elide_checksum: false,
     });
     cell.ops = spec.ops;
-    cell.events = b.events().len() as u64;
-    cell.mutations = b.mutation_count() as u64;
-    cell.points = b.events().len() as u64 + 1;
-    'scan: for crash_idx in 0..=b.events().len() {
-        for s in 0..CRASH_SEEDS {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash(crash_idx, s) {
-                cell.witness = Some(KvWitness {
-                    crash_idx: crash_idx as u64,
-                    seed: s,
-                    kind: v.kind.to_string(),
-                });
-                break 'scan;
-            }
-        }
-    }
-    cell.ok = cell.witness.is_some();
+    scan_for_witness(&b, &mut cell);
     if !cell.ok {
         cell.error = Some("every schedule recovered, but Log must fail".to_string());
     }
@@ -395,23 +376,7 @@ fn run_elide_cell(scale: u64, seed: u64) -> KvCell {
         elide_checksum: true,
     });
     cell.ops = spec.ops;
-    cell.events = b.events().len() as u64;
-    cell.mutations = b.mutation_count() as u64;
-    cell.points = b.events().len() as u64 + 1;
-    'scan: for crash_idx in 0..=b.events().len() {
-        for s in 0..CRASH_SEEDS {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash(crash_idx, s) {
-                cell.witness = Some(KvWitness {
-                    crash_idx: crash_idx as u64,
-                    seed: s,
-                    kind: v.kind.to_string(),
-                });
-                break 'scan;
-            }
-        }
-    }
-    cell.ok = cell.witness.is_some();
+    scan_for_witness(&b, &mut cell);
     if !cell.ok {
         cell.error =
             Some("recovery survived elided WAL checksums; the oracle is not checking them".into());
@@ -491,11 +456,7 @@ fn cell_json(c: &KvCell) -> String {
         .num("chunks", c.chunks as f64)
         .raw("peak_bound", c.peak_bound.to_string());
     if let Some(w) = &c.witness {
-        let mut wo = JsonObject::new();
-        wo.num("crash_idx", w.crash_idx as f64)
-            .num("seed", w.seed as f64)
-            .str("kind", &w.kind);
-        o.raw("witness", wo.render());
+        o.raw("witness", w.json());
     }
     if let Some(err) = &c.error {
         o.str("error", err);
@@ -527,11 +488,7 @@ fn decode_cell(spec: &KvCellSpec, payload: &str) -> Option<KvCell> {
     }
     let witness = match v.get("witness") {
         None => None,
-        Some(w) => Some(KvWitness {
-            crash_idx: w.get("crash_idx").and_then(Value::as_u64)?,
-            seed: w.get("seed").and_then(Value::as_u64)?,
-            kind: w.get("kind").and_then(Value::as_str)?.to_string(),
-        }),
+        Some(w) => Some(CellWitness::decode(w)?),
     };
     Some(KvCell {
         spec: *spec,
@@ -557,55 +514,16 @@ fn decode_cell(spec: &KvCellSpec, payload: &str) -> Option<KvCell> {
 pub fn run_kv_opts(h: &Harness, journal: Option<&Journal>) -> KvReport {
     let scale = h.exp.scale;
     let seed = h.exp.seed;
-    let specs = KvCellSpec::all();
-    let cached: Vec<Option<KvCell>> = specs
-        .iter()
-        .map(|spec| {
-            let j = journal?;
-            let entry = j.lookup(&cell_key(spec, scale, seed))?;
-            let decoded = decode_cell(spec, &entry.payload);
-            if decoded.is_none() {
-                j.report_bad_payload(&cell_key(spec, scale, seed), "kv payload does not decode");
-            }
-            decoded
-        })
-        .collect();
-    let computed = run_indexed(h.jobs, &specs, |i, spec| {
-        if cached[i].is_some() {
-            None
-        } else {
-            Some(run_cell(h, spec))
-        }
+    let codec = CellCodec {
+        study: "kv",
+        key: &|spec| cell_key(spec, scale, seed),
+        decode: decode_cell,
+        encode: cell_json,
+        ok: |c| c.ok,
+    };
+    let (cells, replayed) = journaled_cells(h.jobs, journal, &KvCellSpec::all(), &codec, |spec| {
+        run_cell(h, spec)
     });
-    let mut cells = Vec::with_capacity(specs.len());
-    let mut replayed = 0;
-    for (i, spec) in specs.iter().enumerate() {
-        let (cell, fresh) = match (&cached[i], &computed[i]) {
-            (Some(c), _) => (c.clone(), false),
-            (None, Some(c)) => (c.clone(), true),
-            (None, None) => unreachable!("cell {i} neither cached nor computed"),
-        };
-        if fresh {
-            if let Some(j) = journal {
-                let entry = Entry {
-                    key: cell_key(spec, scale, seed),
-                    attempt: 1,
-                    status: if cell.ok {
-                        CellStatus::Ok
-                    } else {
-                        CellStatus::Failed
-                    },
-                    payload: cell_json(&cell),
-                };
-                if let Err(e) = j.append(&entry) {
-                    eprintln!("repro: journal: {e}");
-                }
-            }
-        } else {
-            replayed += 1;
-        }
-        cells.push(cell);
-    }
     KvReport {
         scale,
         seed,

@@ -22,10 +22,10 @@
 use spp_cpu::{CpuConfig, MultiCore, DEFAULT_STORM_BOUND};
 use spp_workloads::{shared_trace, SharedKind, SharedSpec};
 
-use crate::journal::{CellStatus, Entry, Journal};
+use crate::journal::Journal;
 use crate::json::{self, parse, JsonObject, Value};
-use crate::parallel::run_indexed;
 use crate::schema;
+use crate::study::{journaled_cells, CellCodec};
 use crate::Harness;
 
 /// Core counts the study sweeps.
@@ -284,58 +284,17 @@ pub fn run_multicore_opts(h: &Harness, opts: MulticoreOpts<'_>) -> MulticoreRepo
     let seed = h.exp.seed;
     let storm_bound = opts.storm_bound.unwrap_or(DEFAULT_STORM_BOUND);
     let ops_per_core = ops_at(scale);
-    let specs = CellSpec::all();
-    let cached: Vec<Option<MulticoreCell>> = specs
-        .iter()
-        .map(|spec| {
-            let j = opts.journal?;
-            let entry = j.lookup(&cell_key(spec, scale, seed, storm_bound))?;
-            let decoded = decode_cell(spec, &entry.payload);
-            if decoded.is_none() {
-                j.report_bad_payload(
-                    &cell_key(spec, scale, seed, storm_bound),
-                    "multicore payload does not decode",
-                );
-            }
-            decoded
-        })
-        .collect();
-    let computed = run_indexed(h.jobs, &specs, |i, spec| {
-        if cached[i].is_some() {
-            None
-        } else {
-            Some(run_cell(spec, ops_per_core, seed, storm_bound))
-        }
-    });
-    let mut cells = Vec::with_capacity(specs.len());
-    let mut replayed = 0;
-    for (i, spec) in specs.iter().enumerate() {
-        let (cell, fresh) = match (&cached[i], &computed[i]) {
-            (Some(c), _) => (c.clone(), false),
-            (None, Some(c)) => (c.clone(), true),
-            (None, None) => unreachable!("cell {i} neither cached nor computed"),
-        };
-        if fresh {
-            if let Some(j) = opts.journal {
-                let entry = Entry {
-                    key: cell_key(spec, scale, seed, storm_bound),
-                    attempt: 1,
-                    status: if cell.ok {
-                        CellStatus::Ok
-                    } else {
-                        CellStatus::Failed
-                    },
-                    payload: cell_json(&cell),
-                };
-                if let Err(e) = j.append(&entry) {
-                    eprintln!("repro: journal: {e}");
-                }
-            }
-        } else {
-            replayed += 1;
-        }
-        cells.push(cell);
-    }
+    let codec = CellCodec {
+        study: "multicore",
+        key: &|spec| cell_key(spec, scale, seed, storm_bound),
+        decode: decode_cell,
+        encode: cell_json,
+        ok: |c| c.ok,
+    };
+    let (cells, replayed) =
+        journaled_cells(h.jobs, opts.journal, &CellSpec::all(), &codec, |spec| {
+            run_cell(spec, ops_per_core, seed, storm_bound)
+        });
     MulticoreReport {
         scale,
         seed,

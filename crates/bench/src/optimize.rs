@@ -2,10 +2,11 @@
 //!
 //! The paper hides persist-barrier latency speculatively; this module
 //! works the complementary lever and *removes* redundant persist
-//! operations outright. [`analyze`] runs the same writeback-pipeline
-//! frontier machine as [`spp_pmem::CrashSim`] (`issued -> (sfence) ->
-//! ordered -> (pcommit) -> in-flight -> (sfence) -> guaranteed`) over a
-//! recorded trace and classifies every flush and fence:
+//! operations outright. [`analyze`] drives [`spp_pmem::PersistFrontier`]
+//! — the writeback-stage machine (`issued -> (sfence) -> ordered ->
+//! (pcommit) -> in-flight -> (sfence) -> guaranteed`) whose views are
+//! the crash images of [`spp_pmem::CrashSim`] — over a recorded trace
+//! and classifies every flush and fence:
 //!
 //! * **duplicate flush** — a flush whose pipeline entry is overwritten
 //!   or max-merged away by a later flush of the same line before its
@@ -30,22 +31,21 @@
 //! eliding the *required* flushes instead — which must be caught by the
 //! same oracle.
 
-use std::collections::hash_map::Entry as MapEntry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 
 use spp_cpu::{CpuConfig, ReferencePipeline, Simulator};
 use spp_obs::{Collector, ProbeHandle};
-use spp_pmem::{persist_boundaries, BlockId, Event, FlushMode, Variant};
-use spp_workloads::oracle::record_bundle;
+use spp_pmem::{persist_boundaries, BlockId, Event, FlushMode, PersistFrontier, Variant};
+use spp_workloads::oracle::{first_violation, record_bundle, StreamIndex};
 use spp_workloads::BenchId;
 
 use crate::crashfuzz::{crash_points, fuzz_bundle_spec, SEEDS_PER_POINT};
-use crate::journal::{CellStatus, Entry, Journal};
+use crate::journal::Journal;
 use crate::json::{self, parse, JsonObject, Value};
-use crate::parallel::run_indexed;
 use crate::schema;
 use crate::source::{MemorySource, TraceSource};
+use crate::study::{journaled_cells, CellCodec, CellWitness};
 use crate::{variant_key, Harness, TraceKey};
 
 // --- the detector -----------------------------------------------------
@@ -111,172 +111,48 @@ impl ElisionPlan {
     }
 }
 
-/// How far a flush got through the writeback pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mark {
-    /// Still riding a pipeline stage (uncovered if it ends there).
-    Pending,
-    /// Entered the guaranteed frontier as a winner: load-bearing.
-    Required,
-    /// Overwritten or max-merged away before its stage drained.
-    Subsumed,
-}
-
-/// Max-merges flush `i` of block `b` into a pipeline stage; the loser
-/// of the merge is subsumed (stage maps never touch crash images, so
-/// only the surviving maximum can ever matter).
-fn stage_merge(
-    dst: &mut HashMap<BlockId, usize>,
-    b: BlockId,
-    i: usize,
-    marks: &mut HashMap<usize, Mark>,
-) {
-    match dst.entry(b) {
-        MapEntry::Occupied(mut e) => {
-            let old = *e.get();
-            if i > old {
-                marks.insert(old, Mark::Subsumed);
-                e.insert(i);
-            } else {
-                marks.insert(i, Mark::Subsumed);
-            }
-        }
-        MapEntry::Vacant(v) => {
-            v.insert(i);
-        }
-    }
-}
-
-/// Runs the guarantee-frontier machine over `events` and proposes the
-/// minimal elision plan. The machine is the same one
-/// [`spp_pmem::CrashSim`] uses to reconstruct crash images, so the
-/// classification is exact with respect to the crash model: an elided
-/// event provably never moves any block's guaranteed *store* frontier
-/// at any crash point ([`plan_preserves_guarantees`] re-proves this per
-/// trace, and the study's oracle leg re-proves it against full
-/// recovery). A flush is only `required` when it strictly extends the
-/// number of its block's stores that are certainly durable — a flush
-/// that wins the guaranteed merge without covering any new store (the
-/// line was clean, or an earlier guaranteed flush already covered the
-/// same stores) persists nothing and is elidable too.
+/// Runs the persist frontier [`spp_pmem::CrashSim`] views over `events`
+/// and proposes the minimal elision plan. The classification is exact
+/// with respect to the crash model: an elided event never moves any
+/// block's guaranteed *store* frontier at any crash point
+/// ([`plan_preserves_guarantees`] re-proves this per trace, and the
+/// study's oracle leg against full recovery). A flush is `required` when
+/// its guarantee step strictly extends the count of its block's durable
+/// stores; one that covers no new store, or is max-merged away inside a
+/// stage, is a duplicate; one still staged at the end is uncovered.
 pub fn analyze(events: &[Event]) -> ElisionPlan {
-    let mut store_idxs: HashMap<BlockId, Vec<usize>> = HashMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        if let Event::Store { addr, .. } = ev {
-            store_idxs.entry(addr.block()).or_default().push(i);
-        }
-    }
-    // Stores to `b` strictly before the exclusive frontier `g`.
-    let covered = |b: BlockId, g: usize| -> usize {
-        store_idxs
-            .get(&b)
-            .map_or(0, |v| v.partition_point(|&s| s < g))
-    };
-    let mut marks: HashMap<usize, Mark> = HashMap::new();
-    let mut empty_fences: Vec<usize> = Vec::new();
-    let mut issued: HashMap<BlockId, usize> = HashMap::new();
-    let mut ordered: HashMap<BlockId, usize> = HashMap::new();
-    let mut inflight: HashMap<BlockId, usize> = HashMap::new();
-    let mut guaranteed: HashMap<BlockId, usize> = HashMap::new();
-    let mut flushes = 0u64;
+    let mut frontier = PersistFrontier::default();
+    let (mut flush_idxs, mut empty_fences) = (Vec::new(), Vec::new());
     let mut fences = 0u64;
-
     for (idx, ev) in events.iter().enumerate() {
-        match *ev {
-            Event::Clwb { addr } | Event::ClflushOpt { addr } => {
-                flushes += 1;
-                marks.insert(idx, Mark::Pending);
-                if let Some(prev) = issued.insert(addr.block(), idx) {
-                    marks.insert(prev, Mark::Subsumed);
-                }
+        let drained = frontier.push(ev);
+        if ev.is_fence() {
+            fences += 1;
+            if !drained {
+                empty_fences.push(idx);
             }
-            Event::Clflush { addr } => {
-                // Legacy clflush skips the issued stage (ordered with
-                // respect to a later pcommit on its own).
-                flushes += 1;
-                marks.insert(idx, Mark::Pending);
-                if let Some(prev) = ordered.insert(addr.block(), idx) {
-                    marks.insert(prev, Mark::Subsumed);
-                }
-            }
-            Event::Pcommit => {
-                let moving: Vec<(BlockId, usize)> = ordered.drain().collect();
-                for (b, i) in moving {
-                    stage_merge(&mut inflight, b, i, &mut marks);
-                }
-            }
-            Event::Sfence | Event::Mfence => {
-                fences += 1;
-                if inflight.is_empty() && issued.is_empty() {
-                    empty_fences.push(idx);
-                }
-                for (b, i) in inflight.drain() {
-                    match guaranteed.entry(b) {
-                        MapEntry::Occupied(mut e) => {
-                            let old = *e.get();
-                            if i > old {
-                                // Required only when the new frontier
-                                // covers a store the old one did not;
-                                // otherwise it persists nothing. The old
-                                // winner keeps the mark it earned.
-                                marks.insert(
-                                    i,
-                                    if covered(b, i) > covered(b, old) {
-                                        Mark::Required
-                                    } else {
-                                        Mark::Subsumed
-                                    },
-                                );
-                                e.insert(i);
-                            } else {
-                                marks.insert(i, Mark::Subsumed);
-                            }
-                        }
-                        MapEntry::Vacant(v) => {
-                            // First guaranteed flush of this line: a
-                            // clean line (no store yet) persists
-                            // nothing and is elidable.
-                            marks.insert(
-                                i,
-                                if covered(b, i) > 0 {
-                                    Mark::Required
-                                } else {
-                                    Mark::Subsumed
-                                },
-                            );
-                            v.insert(i);
-                        }
-                    }
-                }
-                let pending: Vec<(BlockId, usize)> = issued.drain().collect();
-                for (b, i) in pending {
-                    stage_merge(&mut ordered, b, i, &mut marks);
-                }
-            }
-            _ => {}
+        } else if ev.is_persist_op() && *ev != Event::Pcommit {
+            flush_idxs.push(idx);
         }
     }
-
-    let mut elisions = Vec::new();
-    let mut required = Vec::new();
-    for (idx, ev) in events.iter().enumerate() {
-        if matches!(
-            ev,
-            Event::Clwb { .. } | Event::ClflushOpt { .. } | Event::Clflush { .. }
-        ) {
-            match marks.get(&idx) {
-                Some(Mark::Required) => required.push(idx),
-                Some(Mark::Subsumed) => elisions.push(Elision {
-                    idx,
-                    kind: ElisionKind::DuplicateFlush,
-                }),
-                Some(Mark::Pending) | None => elisions.push(Elision {
-                    idx,
-                    kind: ElisionKind::UncoveredFlush,
-                }),
-            }
-        }
-    }
+    let mut required: Vec<usize> = frontier
+        .blocks()
+        .flat_map(|b| covering_steps(&frontier, b).map(|(_, flush, _)| flush))
+        .collect();
+    required.sort_unstable();
+    let uncovered: HashSet<usize> = frontier.staged().collect();
+    let mut elisions: Vec<Elision> = flush_idxs
+        .iter()
+        .filter(|idx| required.binary_search(idx).is_err())
+        .map(|&idx| Elision {
+            idx,
+            kind: if uncovered.contains(&idx) {
+                ElisionKind::UncoveredFlush
+            } else {
+                ElisionKind::DuplicateFlush
+            },
+        })
+        .collect();
     elisions.extend(empty_fences.iter().map(|&idx| Elision {
         idx,
         kind: ElisionKind::EmptyFence,
@@ -285,9 +161,26 @@ pub fn analyze(events: &[Event]) -> ElisionPlan {
     ElisionPlan {
         elisions,
         required,
-        flushes,
+        flushes: flush_idxs.len() as u64,
         fences,
     }
+}
+
+/// The guarantee steps of `block` that strictly raise how many of its
+/// stores are certainly durable, as `(fence_idx, flush_idx, covered)`.
+fn covering_steps(
+    frontier: &PersistFrontier,
+    block: BlockId,
+) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let stores = frontier.stores(block);
+    let mut covered = 0;
+    frontier.steps(block).iter().filter_map(move |&(fence, g)| {
+        let n = stores.partition_point(|&s| s < g);
+        (n > covered).then(|| {
+            covered = n;
+            (fence as usize, g as usize, n)
+        })
+    })
 }
 
 /// Rewrites `events` without the plan's elided indices. Stores, loads,
@@ -303,71 +196,33 @@ pub fn apply(events: &[Event], plan: &ElisionPlan) -> Vec<Event> {
         .collect()
 }
 
-/// The guaranteed-store profile of a trace at each of `boundaries`:
-/// for every block, how many of its stores (in per-block order) are
-/// certainly durable at that crash point. Computed with the same
-/// frontier machine as [`analyze`], incrementally, so the whole sweep
-/// is `O(n log n)` rather than one crash simulation per boundary.
-fn guarantee_profile(events: &[Event], boundaries: &[usize]) -> Vec<BTreeMap<u64, usize>> {
-    let mut store_idxs: HashMap<BlockId, Vec<usize>> = HashMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        if let Event::Store { addr, .. } = ev {
-            store_idxs.entry(addr.block()).or_default().push(i);
+/// The guaranteed-store profile of a trace over `boundaries` (crash
+/// indices, ascending): for every block, the boundary positions at which
+/// the number of its stores (in per-block order) that are certainly
+/// durable changes, with the new count. Read off the trace's
+/// [`PersistFrontier`]: each guarantee step takes effect at the first
+/// boundary past its fence, and covers the block's stores before it.
+fn guarantee_profile(events: &[Event], boundaries: &[usize]) -> Vec<(u64, Vec<(usize, usize)>)> {
+    let frontier = PersistFrontier::new(events);
+    let mut profile = Vec::new();
+    for b in frontier.blocks() {
+        let mut changes: Vec<(usize, usize)> = Vec::new();
+        for (fence, _, n) in covering_steps(&frontier, b) {
+            let at = boundaries.partition_point(|&c| c <= fence);
+            if at == boundaries.len() {
+                break;
+            }
+            match changes.last_mut() {
+                Some(last) if last.0 == at => last.1 = n,
+                _ => changes.push((at, n)),
+            }
+        }
+        if !changes.is_empty() {
+            profile.push((b.raw(), changes));
         }
     }
-    let covered = |b: BlockId, g: usize| -> usize {
-        store_idxs
-            .get(&b)
-            .map_or(0, |v| v.partition_point(|&s| s < g))
-    };
-    let mut issued: HashMap<BlockId, usize> = HashMap::new();
-    let mut ordered: HashMap<BlockId, usize> = HashMap::new();
-    let mut inflight: HashMap<BlockId, usize> = HashMap::new();
-    let mut guaranteed: HashMap<BlockId, usize> = HashMap::new();
-    // Live snapshot of covered-store counts per guaranteed block,
-    // cloned out at each boundary.
-    let mut snapshot: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut out = Vec::with_capacity(boundaries.len());
-    let mut bi = 0;
-    for idx in 0..=events.len() {
-        while bi < boundaries.len() && boundaries[bi] == idx {
-            out.push(snapshot.clone());
-            bi += 1;
-        }
-        if idx == events.len() {
-            break;
-        }
-        match events[idx] {
-            Event::Clwb { addr } | Event::ClflushOpt { addr } => {
-                issued.insert(addr.block(), idx);
-            }
-            Event::Clflush { addr } => {
-                ordered.insert(addr.block(), idx);
-            }
-            Event::Pcommit => {
-                for (b, i) in ordered.drain() {
-                    let e = inflight.entry(b).or_insert(i);
-                    *e = (*e).max(i);
-                }
-            }
-            Event::Sfence | Event::Mfence => {
-                for (b, i) in inflight.drain() {
-                    let e = guaranteed.entry(b).or_insert(i);
-                    *e = (*e).max(i);
-                    let n = covered(b, *e);
-                    if n > 0 {
-                        snapshot.insert(b.raw(), n);
-                    }
-                }
-                for (b, i) in issued.drain() {
-                    let e = ordered.entry(b).or_insert(i);
-                    *e = (*e).max(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+    profile.sort_unstable();
+    profile
 }
 
 /// The event-level safety lemma: at every persist boundary of `events`,
@@ -439,10 +294,11 @@ impl ReplayPass {
 }
 
 /// One configuration point of the optimizer study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OptimizeCellSpec {
     /// Detect and classify the bench trace's elidable persist events,
     /// and prove the event-level guarantee-preservation lemma.
+    #[default]
     Plan,
     /// Replay one (core, before/after) combination: event-driven
     /// simulator with the spp-obs collector attached, plus the frozen
@@ -476,19 +332,8 @@ impl OptimizeCellSpec {
     }
 }
 
-/// A minimal violation witness from the inverted leg.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptWitness {
-    /// Crash point (index into the unsafe event stream).
-    pub crash_idx: u64,
-    /// Reordering seed.
-    pub seed: u64,
-    /// What the oracle rejected (kebab label).
-    pub kind: String,
-}
-
 /// One measured cell. Fields a leg does not produce stay 0/`None`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptCell {
     /// The configuration measured.
     pub spec: OptimizeCellSpec,
@@ -524,7 +369,7 @@ pub struct OptCell {
     /// `(crash_idx, seed)` schedules checked.
     pub checks: u64,
     /// The violation witness (inverted leg).
-    pub witness: Option<OptWitness>,
+    pub witness: Option<CellWitness>,
     /// What went wrong, for a failed cell.
     pub error: Option<String>,
 }
@@ -533,23 +378,7 @@ impl OptCell {
     fn empty(spec: OptimizeCellSpec) -> Self {
         OptCell {
             spec,
-            ok: false,
-            events: 0,
-            kept: 0,
-            duplicates: 0,
-            uncovered: 0,
-            empty_fences: 0,
-            required: 0,
-            cycles: 0,
-            ref_cycles: 0,
-            fence_stall: 0,
-            ssb_stall: 0,
-            ckpt_stall: 0,
-            backend_stall: 0,
-            points: 0,
-            checks: 0,
-            witness: None,
-            error: None,
+            ..OptCell::default()
         }
     }
 
@@ -718,18 +547,14 @@ fn run_oracle_cell(h: &Harness, id: BenchId) -> OptCell {
     }
     let optimized = apply(b.events(), &plan);
     let pts = persist_boundaries(&optimized);
+    let index = StreamIndex::new(&optimized);
     cell.points = pts.len() as u64;
-    cell.ok = true;
-    'sweep: for &p in &pts {
-        for seed in 0..SEEDS_PER_POINT {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash_of(&optimized, p, seed) {
-                cell.ok = false;
-                cell.error = Some(format!("crash_idx {p}, seed {seed}: {v}"));
-                break 'sweep;
-            }
-        }
-    }
+    let (checks, first) = first_violation(pts, SEEDS_PER_POINT, |p, seed| {
+        b.check_crash_of(&optimized, &index, p, seed)
+    });
+    cell.checks = checks;
+    cell.ok = first.is_none();
+    cell.error = first.map(|(p, seed, v)| format!("crash_idx {p}, seed {seed}: {v}"));
     cell
 }
 
@@ -763,20 +588,13 @@ fn run_inverted_cell(h: &Harness, id: BenchId) -> OptCell {
     let unsafe_events = apply(b.events(), &unsafe_plan);
     cell.kept = unsafe_events.len() as u64;
     let pts = crash_points(&unsafe_events);
+    let index = StreamIndex::new(&unsafe_events);
     cell.points = pts.len() as u64;
-    'scan: for &p in &pts {
-        for seed in 0..SEEDS_PER_POINT {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash_of(&unsafe_events, p, seed) {
-                cell.witness = Some(OptWitness {
-                    crash_idx: p as u64,
-                    seed,
-                    kind: v.kind.to_string(),
-                });
-                break 'scan;
-            }
-        }
-    }
+    let (checks, first) = first_violation(pts, SEEDS_PER_POINT, |p, seed| {
+        b.check_crash_of(&unsafe_events, &index, p, seed)
+    });
+    cell.checks = checks;
+    cell.witness = CellWitness::of(first);
     cell.ok = cell.witness.is_some();
     if !cell.ok {
         cell.error = Some("eliding every required flush went unnoticed by the oracle".into());
@@ -835,11 +653,7 @@ fn cell_json(c: &OptCell) -> String {
         .num("points", c.points as f64)
         .num("checks", c.checks as f64);
     if let Some(w) = &c.witness {
-        let mut wo = JsonObject::new();
-        wo.num("crash_idx", w.crash_idx as f64)
-            .num("seed", w.seed as f64)
-            .str("kind", &w.kind);
-        o.raw("witness", wo.render());
+        o.raw("witness", w.json());
     }
     if let Some(err) = &c.error {
         o.str("error", err);
@@ -866,11 +680,7 @@ fn decode_cell(spec: &OptimizeCellSpec, payload: &str) -> Option<OptCell> {
     }
     let witness = match v.get("witness") {
         None => None,
-        Some(w) => Some(OptWitness {
-            crash_idx: w.get("crash_idx").and_then(Value::as_u64)?,
-            seed: w.get("seed").and_then(Value::as_u64)?,
-            kind: w.get("kind").and_then(Value::as_str)?.to_string(),
-        }),
+        Some(w) => Some(CellWitness::decode(w)?),
     };
     Some(OptCell {
         spec: *spec,
@@ -907,56 +717,17 @@ pub fn run_optimize_opts(
 ) -> OptimizeReport {
     let scale = h.exp.scale;
     let seed = h.exp.seed;
-    let specs = OptimizeCellSpec::all();
-    let cached: Vec<Option<OptCell>> = specs
-        .iter()
-        .map(|spec| {
-            let j = journal?;
-            let key = cell_key(id, variant, spec, scale, seed);
-            let entry = j.lookup(&key)?;
-            let decoded = decode_cell(spec, &entry.payload);
-            if decoded.is_none() {
-                j.report_bad_payload(&key, "optimize payload does not decode");
-            }
-            decoded
-        })
-        .collect();
-    let computed = run_indexed(h.jobs, &specs, |i, spec| {
-        if cached[i].is_some() {
-            None
-        } else {
-            Some(run_cell(h, id, variant, spec))
-        }
-    });
-    let mut cells = Vec::with_capacity(specs.len());
-    let mut replayed = 0;
-    for (i, spec) in specs.iter().enumerate() {
-        let (cell, fresh) = match (&cached[i], &computed[i]) {
-            (Some(c), _) => (c.clone(), false),
-            (None, Some(c)) => (c.clone(), true),
-            (None, None) => unreachable!("cell {i} neither cached nor computed"),
-        };
-        if fresh {
-            if let Some(j) = journal {
-                let entry = Entry {
-                    key: cell_key(id, variant, spec, scale, seed),
-                    attempt: 1,
-                    status: if cell.ok {
-                        CellStatus::Ok
-                    } else {
-                        CellStatus::Failed
-                    },
-                    payload: cell_json(&cell),
-                };
-                if let Err(e) = j.append(&entry) {
-                    eprintln!("repro: journal: {e}");
-                }
-            }
-        } else {
-            replayed += 1;
-        }
-        cells.push(cell);
-    }
+    let codec = CellCodec {
+        study: "optimize",
+        key: &|spec| cell_key(id, variant, spec, scale, seed),
+        decode: decode_cell,
+        encode: cell_json,
+        ok: |c| c.ok,
+    };
+    let (cells, replayed) =
+        journaled_cells(h.jobs, journal, &OptimizeCellSpec::all(), &codec, |spec| {
+            run_cell(h, id, variant, spec)
+        });
     OptimizeReport {
         id,
         variant,

@@ -26,7 +26,11 @@ use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
-use crate::journal::Journal;
+use spp_workloads::oracle::OracleViolation;
+
+use crate::journal::{CellStatus, Entry, Journal};
+use crate::json::{JsonObject, Value};
+use crate::parallel::run_indexed;
 
 /// A rejected or failed journal opening, typed so the CLI can map each
 /// case onto its own diagnostic without string matching.
@@ -158,6 +162,113 @@ pub fn staged<T>(label: &str, sims: usize, f: impl FnOnce() -> T) -> T {
         eprintln!("# {label}: {dt:.2}s");
     }
     out
+}
+
+/// A failing `(crash_idx, seed)` schedule a study's crash leg found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellWitness {
+    /// Crash point (index into the crashed event stream).
+    pub crash_idx: u64,
+    /// Reordering seed.
+    pub seed: u64,
+    /// What the oracle rejected (kebab label).
+    pub kind: String,
+}
+
+impl CellWitness {
+    /// The witness of a sweep's first failure, if any.
+    pub fn of(first: Option<(usize, u64, OracleViolation)>) -> Option<Self> {
+        first.map(|(p, seed, v)| CellWitness {
+            crash_idx: p as u64,
+            seed,
+            kind: v.kind.to_string(),
+        })
+    }
+
+    /// The witness as a JSON object.
+    pub fn json(&self) -> String {
+        let mut o = JsonObject::new();
+        o.num("crash_idx", self.crash_idx as f64)
+            .num("seed", self.seed as f64)
+            .str("kind", &self.kind);
+        o.render()
+    }
+
+    /// A witness back from [`CellWitness::json`].
+    pub fn decode(w: &Value) -> Option<Self> {
+        Some(CellWitness {
+            crash_idx: w.get("crash_idx").and_then(Value::as_u64)?,
+            seed: w.get("seed").and_then(Value::as_u64)?,
+            kind: w.get("kind").and_then(Value::as_str)?.to_string(),
+        })
+    }
+}
+
+/// How a study's cells map onto journal entries.
+pub struct CellCodec<'a, S, C> {
+    /// Study name for the undecodable-payload diagnostic.
+    pub study: &'a str,
+    /// The journal key of a cell.
+    pub key: &'a dyn Fn(&S) -> String,
+    /// A cell back from its payload; `None` recomputes it.
+    pub decode: fn(&S, &str) -> Option<C>,
+    /// A cell as its payload.
+    pub encode: fn(&C) -> String,
+    /// The cell's verdict, journaled as its status.
+    pub ok: fn(&C) -> bool,
+}
+
+/// Runs a study's cells: every cell whose journal entry decodes is
+/// replayed, the rest run on up to `jobs` workers and are appended to
+/// the journal in `specs` order. Returns the cells in `specs` order and
+/// how many were replayed.
+pub fn journaled_cells<S: Sync, C: Send + Sync>(
+    jobs: usize,
+    journal: Option<&Journal>,
+    specs: &[S],
+    codec: &CellCodec<'_, S, C>,
+    run: impl Fn(&S) -> C + Sync,
+) -> (Vec<C>, usize) {
+    let cached: Vec<Option<C>> = specs
+        .iter()
+        .map(|spec| {
+            let j = journal?;
+            let key = (codec.key)(spec);
+            let decoded = (codec.decode)(spec, &j.lookup(&key)?.payload);
+            if decoded.is_none() {
+                j.report_bad_payload(&key, format!("{} payload does not decode", codec.study));
+            }
+            decoded
+        })
+        .collect();
+    let computed = run_indexed(jobs, specs, |i, spec| {
+        cached[i].is_none().then(|| run(spec))
+    });
+    let replayed = cached.iter().flatten().count();
+    let mut cells = Vec::with_capacity(specs.len());
+    for ((spec, cached), computed) in specs.iter().zip(cached).zip(computed) {
+        let fresh = cached.is_none();
+        let Some(cell) = cached.or(computed) else {
+            unreachable!("a cell neither cached nor computed")
+        };
+        if let Some(j) = journal.filter(|_| fresh) {
+            let entry = Entry {
+                key: (codec.key)(spec),
+                attempt: 1,
+                status: if (codec.ok)(&cell) {
+                    CellStatus::Ok
+                } else {
+                    CellStatus::Failed
+                },
+                payload: (codec.encode)(&cell),
+            };
+            if let Err(e) = j.append(&entry) {
+                eprintln!("repro: journal: {e}");
+            }
+        }
+        cells.push(cell);
+    }
+    (cells, replayed)
 }
 
 /// One journaled study invocation: the stage label, the expected

@@ -8,11 +8,17 @@
 //! (§2.2): the first fence orders the writeback before the `pcommit`, and
 //! the second fence awaits the `pcommit` acknowledgement.
 //!
-//! [`CrashSim`] replays a recorded trace up to a crash point, computes
-//! each block's guaranteed-persist frontier, and materializes candidate
-//! NVMM images by choosing a per-block cut anywhere between the frontier
-//! and the crash. Recovery correctness tests assert that *every* such
-//! image recovers to a consistent structure.
+//! [`PersistFrontier`] makes one `O(n)` pass over an `n`-event trace and
+//! records, per block, its store indices and every step of its
+//! guaranteed-persist frontier. The frontier only moves forward, so at
+//! crash index `c` it is the last step whose fence precedes `c`: a binary
+//! search. [`CrashSim`] views a frontier at one crash index in
+//! `O(log n)` and materializes candidate NVMM images — a per-block cut
+//! anywhere between the frontier and the crash — in `O(d log n + s)` for
+//! `d` dirty blocks and `s` applied stores, so `k` crash points of one
+//! trace cost `O(n + k·d log n)`, not `k` replays. Recovery correctness
+//! tests assert that *every* such image recovers to a consistent
+//! structure.
 //!
 //! Writebacks are modelled as 64-byte-atomic (a whole cache line reaches
 //! the write-pending queue at once), the standard assumption in the
@@ -26,23 +32,243 @@
 //! only the trailing `sfence` (awaiting the `pcommit` acknowledgement)
 //! is still required for a durability guarantee.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::addr::BlockId;
 use crate::event::Event;
+use crate::hash::FastHashBuilder;
 use crate::rng::splitmix64;
 use crate::space::Space;
 
-/// One store affecting a block, in trace order.
-#[derive(Debug, Clone, Copy)]
-struct BlockStore {
-    idx: usize,
-    addr: crate::PAddr,
-    size: u8,
-    value: u64,
+/// One block's history in a [`PersistFrontier`].
+#[derive(Debug, Clone, Default)]
+struct BlockFrontier {
+    block: BlockId,
+    /// Trace indices of the block's stores, ascending.
+    stores: Vec<u32>,
+    /// `(fence_idx, guarantee)` pairs, both strictly ascending: a crash
+    /// after the fence at `fence_idx` finds the block guaranteed up to
+    /// the exclusive index `guarantee`.
+    steps: Vec<(u32, u32)>,
+    /// The flush riding each writeback stage: issued -> (sfence) ->
+    /// ordered -> (pcommit) -> in-flight -> (sfence) -> guaranteed.
+    issued: Option<u32>,
+    ordered: Option<u32>,
+    inflight: Option<u32>,
 }
 
-/// A crash-point analysis of a recorded trace.
+impl BlockFrontier {
+    fn guarantee_at(&self, crash: usize) -> usize {
+        let k = self.steps.partition_point(|&(f, _)| (f as usize) < crash);
+        k.checked_sub(1).map_or(0, |k| self.steps[k].1 as usize)
+    }
+}
+
+/// Moves `slot`'s flush `idx` into a stage, max-merging with a flush
+/// already there; `members` lists the slots with a flush in the stage.
+fn stage_enter(stage: &mut Option<u32>, members: &mut Vec<u32>, slot: u32, idx: u32) {
+    match stage {
+        Some(old) => *old = (*old).max(idx),
+        None => {
+            *stage = Some(idx);
+            members.push(slot);
+        }
+    }
+}
+
+/// The guaranteed-persist frontier of every block of a trace at every
+/// crash index. Per block it holds the trace indices of the block's
+/// stores (images read the payloads from the trace) and the steps of its
+/// guarantee. [`PersistFrontier::push`] consumes one event at a time, so
+/// trace analyses also drive it as the writeback-stage machine.
+///
+/// ```
+/// use spp_pmem::{PersistFrontier, PmemEnv, Variant};
+///
+/// let mut env = PmemEnv::new(Variant::LogPSf);
+/// let a = env.alloc_block();
+/// let base = env.snapshot();
+/// env.store_u64(a, 7);
+/// env.clwb(a);
+/// env.sfence();
+/// env.pcommit();
+/// env.sfence();
+/// let events = env.take_trace().events;
+/// let frontier = PersistFrontier::new(&events);
+/// // Guaranteed only once the trailing fence has executed.
+/// assert_eq!(frontier.at(&base, &events, events.len() - 1).guarantee(a.block()), 0);
+/// let end = frontier.at(&base, &events, events.len());
+/// assert_eq!(end.image_guaranteed_only().read_u64(a), 7);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PersistFrontier {
+    /// Every touched block, in order of first touch.
+    blocks: Vec<BlockFrontier>,
+    slots: HashMap<BlockId, u32, FastHashBuilder>,
+    /// Slots of stored-to blocks, in order of first store.
+    dirty: Vec<u32>,
+    /// Slots with a flush in each writeback stage.
+    issued: Vec<u32>,
+    ordered: Vec<u32>,
+    inflight: Vec<u32>,
+    /// Events consumed.
+    len: usize,
+}
+
+impl PersistFrontier {
+    /// Builds the frontier of `events` in one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `events` holds more than `u32::MAX` events.
+    pub fn new(events: &[Event]) -> Self {
+        let mut f = PersistFrontier::default();
+        for ev in events {
+            f.push(ev);
+        }
+        f
+    }
+
+    fn slot(&mut self, block: BlockId) -> u32 {
+        let next = self.blocks.len() as u32;
+        let slot = *self.slots.entry(block).or_insert(next);
+        if slot == next {
+            let fresh = BlockFrontier {
+                block,
+                ..BlockFrontier::default()
+            };
+            self.blocks.push(fresh);
+        }
+        slot
+    }
+
+    fn get(&self, block: BlockId) -> Option<&BlockFrontier> {
+        self.slots.get(&block).map(|&s| &self.blocks[s as usize])
+    }
+
+    /// Consumes the next trace event. Returns `true` if the event is a
+    /// `pcommit` or fence that moved at least one flush to its next
+    /// writeback stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` events.
+    pub fn push(&mut self, ev: &Event) -> bool {
+        assert!(
+            self.len < u32::MAX as usize,
+            "trace longer than u32::MAX events"
+        );
+        let idx = self.len as u32;
+        self.len += 1;
+        match *ev {
+            Event::Store { addr, .. } => {
+                debug_assert_eq!(
+                    addr.raw() % 8,
+                    0,
+                    "crash analysis assumes 8-byte-aligned stores"
+                );
+                let s = self.slot(addr.block());
+                let b = &mut self.blocks[s as usize];
+                if b.stores.is_empty() {
+                    self.dirty.push(s);
+                }
+                b.stores.push(idx);
+                false
+            }
+            Event::Clwb { addr } | Event::ClflushOpt { addr } => {
+                let s = self.slot(addr.block());
+                let b = &mut self.blocks[s as usize];
+                stage_enter(&mut b.issued, &mut self.issued, s, idx);
+                false
+            }
+            Event::Clflush { addr } => {
+                // Legacy clflush is ordered with respect to a later
+                // pcommit without an intervening sfence (Intel SDM): it
+                // skips the issued stage.
+                let s = self.slot(addr.block());
+                let b = &mut self.blocks[s as usize];
+                stage_enter(&mut b.ordered, &mut self.ordered, s, idx);
+                false
+            }
+            Event::Pcommit => {
+                for &s in &self.ordered {
+                    let b = &mut self.blocks[s as usize];
+                    if let Some(i) = b.ordered.take() {
+                        stage_enter(&mut b.inflight, &mut self.inflight, s, i);
+                    }
+                }
+                let drained = !self.ordered.is_empty();
+                self.ordered.clear();
+                drained
+            }
+            Event::Sfence | Event::Mfence => {
+                let drained = !self.inflight.is_empty() || !self.issued.is_empty();
+                for &s in &self.inflight {
+                    let b = &mut self.blocks[s as usize];
+                    if let Some(i) = b.inflight.take() {
+                        if i > b.steps.last().map_or(0, |&(_, g)| g) {
+                            b.steps.push((idx, i));
+                        }
+                    }
+                }
+                for &s in &self.issued {
+                    let b = &mut self.blocks[s as usize];
+                    if let Some(i) = b.issued.take() {
+                        stage_enter(&mut b.ordered, &mut self.ordered, s, i);
+                    }
+                }
+                self.inflight.clear();
+                self.issued.clear();
+                drained
+            }
+            _ => false,
+        }
+    }
+
+    /// Every block the trace stored to or flushed, in order of first
+    /// touch.
+    pub fn blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.blocks.iter().map(|b| b.block)
+    }
+
+    /// Trace indices of `block`'s stores, ascending.
+    pub fn stores(&self, block: BlockId) -> &[u32] {
+        self.get(block).map_or(&[], |b| &b.stores)
+    }
+
+    /// The steps of `block`'s guarantee as `(fence_idx, guarantee)`
+    /// pairs, both strictly ascending: from any crash index past
+    /// `fence_idx`, the stores to `block` before `guarantee` are
+    /// certainly in NVMM.
+    pub fn steps(&self, block: BlockId) -> &[(u32, u32)] {
+        self.get(block).map_or(&[], |b| &b.steps)
+    }
+
+    /// Flushes that never left a writeback stage: no fence and `pcommit`
+    /// sequence carried them to the guaranteed frontier.
+    pub fn staged(&self) -> impl Iterator<Item = usize> + '_ {
+        self.blocks
+            .iter()
+            .flat_map(|b| [b.issued, b.ordered, b.inflight])
+            .flatten()
+            .map(|i| i as usize)
+    }
+
+    /// Views the frontier at crash index `crash`. `events` must be the
+    /// trace the frontier was built from; `base` is the pre-trace image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `events` is not as long as the consumed trace or
+    /// `crash > events.len()`.
+    pub fn at<'a>(&'a self, base: &'a Space, events: &'a [Event], crash: usize) -> CrashSim<'a> {
+        CrashSim::view(base, events, Cow::Borrowed(self), crash)
+    }
+}
+
+/// A crash-point analysis of a recorded trace: a [`PersistFrontier`]
+/// viewed at one crash index.
 ///
 /// ```
 /// use spp_pmem::{CrashSim, PmemEnv, Variant, recover};
@@ -68,12 +294,20 @@ struct BlockStore {
 ///     assert!(v == 0 || v == 42, "torn value {v}");
 /// }
 /// ```
+///
+/// [`CrashSim::new`] builds a frontier over the trace prefix for one
+/// crash index; to sweep many crash indices of one trace, build the
+/// [`PersistFrontier`] once and open a view per index with
+/// [`PersistFrontier::at`].
 #[derive(Debug)]
 pub struct CrashSim<'a> {
     base: &'a Space,
+    events: &'a [Event],
+    frontier: Cow<'a, PersistFrontier>,
     crash_idx: usize,
-    stores: HashMap<BlockId, Vec<BlockStore>>,
-    guaranteed: HashMap<BlockId, usize>,
+    /// How many of the frontier's dirty blocks were stored to before
+    /// the crash.
+    dirty: usize,
 }
 
 impl<'a> CrashSim<'a> {
@@ -84,65 +318,29 @@ impl<'a> CrashSim<'a> {
     /// # Panics
     ///
     /// Panics if `crash_idx > events.len()`.
-    pub fn new(base: &'a Space, events: &[Event], crash_idx: usize) -> Self {
+    pub fn new(base: &'a Space, events: &'a [Event], crash_idx: usize) -> Self {
         assert!(crash_idx <= events.len(), "crash index past end of trace");
-        let mut stores: HashMap<BlockId, Vec<BlockStore>> = HashMap::new();
-        let mut guaranteed: HashMap<BlockId, usize> = HashMap::new();
-        // Writeback pipeline state: issued -> (sfence) -> ordered ->
-        // (pcommit) -> in-flight -> (sfence) -> guaranteed.
-        let mut issued: HashMap<BlockId, usize> = HashMap::new();
-        let mut ordered: HashMap<BlockId, usize> = HashMap::new();
-        let mut inflight: HashMap<BlockId, usize> = HashMap::new();
+        let frontier = PersistFrontier::new(&events[..crash_idx]);
+        CrashSim::view(base, &events[..crash_idx], Cow::Owned(frontier), crash_idx)
+    }
 
-        for (idx, ev) in events[..crash_idx].iter().enumerate() {
-            match *ev {
-                Event::Store { addr, size, value } => {
-                    debug_assert_eq!(
-                        addr.raw() % 8,
-                        0,
-                        "crash analysis assumes 8-byte-aligned stores"
-                    );
-                    stores.entry(addr.block()).or_default().push(BlockStore {
-                        idx,
-                        addr,
-                        size,
-                        value,
-                    });
-                }
-                Event::Clwb { addr } | Event::ClflushOpt { addr } => {
-                    issued.insert(addr.block(), idx);
-                }
-                Event::Clflush { addr } => {
-                    // Legacy clflush is ordered with respect to a later
-                    // pcommit without an intervening sfence (Intel SDM):
-                    // it skips the issued stage. Trace indices are
-                    // monotone, so plain insert keeps the max.
-                    ordered.insert(addr.block(), idx);
-                }
-                Event::Pcommit => {
-                    for (b, i) in ordered.drain() {
-                        let e = inflight.entry(b).or_insert(i);
-                        *e = (*e).max(i);
-                    }
-                }
-                Event::Sfence | Event::Mfence => {
-                    for (b, i) in inflight.drain() {
-                        let e = guaranteed.entry(b).or_insert(i);
-                        *e = (*e).max(i);
-                    }
-                    for (b, i) in issued.drain() {
-                        let e = ordered.entry(b).or_insert(i);
-                        *e = (*e).max(i);
-                    }
-                }
-                _ => {}
-            }
-        }
+    fn view(
+        base: &'a Space,
+        events: &'a [Event],
+        frontier: Cow<'a, PersistFrontier>,
+        crash_idx: usize,
+    ) -> Self {
+        assert_eq!(events.len(), frontier.len, "frontier of another trace");
+        assert!(crash_idx <= events.len(), "crash index past end of trace");
+        let dirty = frontier
+            .dirty
+            .partition_point(|&s| (frontier.blocks[s as usize].stores[0] as usize) < crash_idx);
         CrashSim {
             base,
+            events,
+            frontier,
             crash_idx,
-            stores,
-            guaranteed,
+            dirty,
         }
     }
 
@@ -160,7 +358,15 @@ impl<'a> CrashSim<'a> {
     /// would silently claim a store at trace index 0 always persists —
     /// an off-by-one the Px86 litmus harness caught.)
     pub fn guarantee(&self, block: BlockId) -> usize {
-        self.guaranteed.get(&block).copied().unwrap_or(0)
+        let b = self.frontier.get(block);
+        b.map_or(0, |b| b.guarantee_at(self.crash_idx))
+    }
+
+    /// Blocks stored to before the crash, in order of first store.
+    fn dirty(&self) -> impl Iterator<Item = &BlockFrontier> + '_ {
+        self.frontier.dirty[..self.dirty]
+            .iter()
+            .map(|&s| &self.frontier.blocks[s as usize])
     }
 
     /// Builds an NVMM image choosing, for each dirty block, a cut point
@@ -168,15 +374,16 @@ impl<'a> CrashSim<'a> {
     /// clamped into `[frontier, crash_idx]`; all stores to the block
     /// strictly before the cut are applied (cuts are exclusive, like
     /// the frontier, so `frontier` itself applies exactly the
-    /// guaranteed stores and `crash_idx` applies everything).
+    /// guaranteed stores and `crash_idx` applies everything). Blocks
+    /// are visited in order of first store.
     pub fn image_with(&self, mut choose: impl FnMut(BlockId, usize, usize) -> usize) -> Space {
         let mut img = self.base.clone();
-        for (&block, stores) in &self.stores {
-            let g = self.guarantee(block);
-            let cut = choose(block, g, self.crash_idx).clamp(g, self.crash_idx);
-            for s in stores {
-                if s.idx < cut {
-                    img.write_uint(s.addr, s.size, s.value);
+        for b in self.dirty() {
+            let g = b.guarantee_at(self.crash_idx);
+            let cut = choose(b.block, g, self.crash_idx).clamp(g, self.crash_idx);
+            for &i in b.stores.iter().take_while(|&&i| (i as usize) < cut) {
+                if let Event::Store { addr, size, value } = self.events[i as usize] {
+                    img.write_uint(addr, size, value);
                 }
             }
         }
@@ -212,9 +419,11 @@ impl<'a> CrashSim<'a> {
     }
 
     /// Blocks that were stored to before the crash, with their
-    /// guaranteed frontiers (diagnostics and test enumeration).
+    /// guaranteed frontiers, in order of first store (diagnostics and
+    /// test enumeration).
     pub fn dirty_blocks(&self) -> impl Iterator<Item = (BlockId, usize)> + '_ {
-        self.stores.keys().map(move |&b| (b, self.guarantee(b)))
+        self.dirty()
+            .map(move |b| (b.block, b.guarantee_at(self.crash_idx)))
     }
 
     /// The distinct cut points of `block`: its guaranteed frontier plus
@@ -226,9 +435,14 @@ impl<'a> CrashSim<'a> {
     pub fn cut_points(&self, block: BlockId) -> Vec<usize> {
         let g = self.guarantee(block);
         let mut pts = vec![g];
-        if let Some(stores) = self.stores.get(&block) {
-            pts.extend(stores.iter().filter(|s| s.idx >= g).map(|s| s.idx + 1));
-        }
+        pts.extend(
+            self.frontier
+                .stores(block)
+                .iter()
+                .map(|&i| i as usize)
+                .filter(|&i| i >= g && i < self.crash_idx)
+                .map(|i| i + 1),
+        );
         pts.dedup();
         pts
     }
@@ -243,31 +457,20 @@ impl<'a> CrashSim<'a> {
     /// callers are expected to use it on small traces only (litmus
     /// programs, property tests).
     pub fn for_each_image(&self, mut visit: impl FnMut(&Space)) {
-        let mut blocks: Vec<BlockId> = self.stores.keys().copied().collect();
-        blocks.sort_unstable_by_key(|b| b.raw());
+        let mut blocks: Vec<BlockId> = self.dirty().map(|b| b.block).collect();
+        blocks.sort_unstable();
         let cuts: Vec<Vec<usize>> = blocks.iter().map(|&b| self.cut_points(b)).collect();
-        let mut chosen: HashMap<BlockId, usize> = HashMap::new();
-        self.enumerate_images(&blocks, &cuts, 0, &mut chosen, &mut visit);
-    }
-
-    fn enumerate_images(
-        &self,
-        blocks: &[BlockId],
-        cuts: &[Vec<usize>],
-        depth: usize,
-        chosen: &mut HashMap<BlockId, usize>,
-        visit: &mut impl FnMut(&Space),
-    ) {
-        if depth == blocks.len() {
-            let img = self.image_with(|b, g, _| chosen.get(&b).copied().unwrap_or(g));
-            visit(&img);
-            return;
+        // An odometer over the per-block cut choices, last block fastest.
+        let mut pick = vec![0usize; blocks.len()];
+        loop {
+            let cut = |b, g| blocks.binary_search(&b).map_or(g, |k| cuts[k][pick[k]]);
+            visit(&self.image_with(|b, g, _| cut(b, g)));
+            let Some(k) = (0..pick.len()).rev().find(|&k| pick[k] + 1 < cuts[k].len()) else {
+                return;
+            };
+            pick[k] += 1;
+            pick[k + 1..].fill(0);
         }
-        for &cut in &cuts[depth] {
-            chosen.insert(blocks[depth], cut);
-            self.enumerate_images(blocks, cuts, depth + 1, chosen, visit);
-        }
-        chosen.remove(&blocks[depth]);
     }
 }
 
@@ -697,18 +900,35 @@ mod tests {
     fn dirty_blocks_reports_frontiers() {
         let mut env = PmemEnv::new(Variant::LogPSf);
         let a = env.alloc_block();
+        let b = env.alloc_block();
+        let c = env.alloc_block();
         let base = env.snapshot();
+        env.store_u64(c, 1);
         env.store_u64(a, 5);
+        env.store_u64(c, 2);
         env.clwb(a);
         env.sfence();
         env.pcommit();
         env.sfence();
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
-        let dirty: Vec<(BlockId, usize)> = sim.dirty_blocks().collect();
-        assert_eq!(dirty.len(), 1);
-        assert_eq!(dirty[0].0, a.block());
-        assert!(dirty[0].1 > 0);
-        let _ = PAddr::NULL; // silence unused import in some cfgs
+        env.clwb(b); // flushed before its first store
+        env.store_u64(b, 7);
+        let events = env.take_trace().events;
+        let frontier = PersistFrontier::new(&events);
+        let end = frontier.at(&base, &events, events.len());
+        // First-store order: not address order, not flush order.
+        let dirty: Vec<(BlockId, usize)> = end.dirty_blocks().collect();
+        let order: Vec<BlockId> = dirty.iter().map(|&(blk, _)| blk).collect();
+        assert_eq!(order, vec![c.block(), a.block(), b.block()]);
+        assert_eq!(dirty[0].1, 0);
+        assert!(dirty[1].1 > 0);
+        assert_eq!(dirty[2].1, 0);
+        // Before b's store the order is a prefix.
+        let last_store = events
+            .iter()
+            .rposition(|e| matches!(e, Event::Store { .. }))
+            .unwrap();
+        let early = frontier.at(&base, &events, last_store);
+        let order: Vec<BlockId> = early.dirty_blocks().map(|(blk, _)| blk).collect();
+        assert_eq!(order, vec![c.block(), a.block()]);
     }
 }

@@ -1,8 +1,13 @@
 //! Property tests for the pmem substrate: crash-image soundness and
 //! recovery correctness under randomized programs and crash points.
 
+use std::collections::{BTreeSet, HashMap};
+
 use proptest::prelude::*;
-use spp_pmem::{recover, CrashSim, PmemEnv, Variant, BLOCK_SIZE};
+use spp_pmem::{
+    recover, splitmix64, BlockId, CrashSim, Event, PAddr, PersistFrontier, PmemEnv, Space, Variant,
+    BLOCK_SIZE,
+};
 
 /// A tiny random "program": a sequence of failure-safe transactions,
 /// each updating a random subset of a small array of persistent cells.
@@ -156,6 +161,190 @@ proptest! {
                 let g = sim.guarantee(c.block());
                 prop_assert!(g >= prev[i], "frontier went backwards");
                 prev[i] = g;
+            }
+        }
+    }
+}
+
+/// Test-only reference model of the crash frontier: a straight-line
+/// replay of `events[..crash_idx]` through the writeback stages, kept
+/// independent of [`PersistFrontier`] so the proptest below can pin the
+/// build-once frontier to it.
+struct ReferenceCrash<'a> {
+    base: &'a Space,
+    crash_idx: usize,
+    /// Per block: its stores `(idx, addr, size, value)` in trace order.
+    stores: HashMap<BlockId, Vec<(usize, PAddr, u8, u64)>>,
+    /// Blocks in order of first store.
+    first_store: Vec<BlockId>,
+    guaranteed: HashMap<BlockId, usize>,
+}
+
+impl<'a> ReferenceCrash<'a> {
+    fn new(base: &'a Space, events: &[Event], crash_idx: usize) -> Self {
+        let mut stores: HashMap<BlockId, Vec<(usize, PAddr, u8, u64)>> = HashMap::new();
+        let mut first_store = Vec::new();
+        let mut guaranteed: HashMap<BlockId, usize> = HashMap::new();
+        // issued -> (sfence) -> ordered -> (pcommit) -> in-flight ->
+        // (sfence) -> guaranteed.
+        let mut issued: HashMap<BlockId, usize> = HashMap::new();
+        let mut ordered: HashMap<BlockId, usize> = HashMap::new();
+        let mut inflight: HashMap<BlockId, usize> = HashMap::new();
+        for (idx, ev) in events[..crash_idx].iter().enumerate() {
+            match *ev {
+                Event::Store { addr, size, value } => {
+                    let v = stores.entry(addr.block()).or_default();
+                    if v.is_empty() {
+                        first_store.push(addr.block());
+                    }
+                    v.push((idx, addr, size, value));
+                }
+                Event::Clwb { addr } | Event::ClflushOpt { addr } => {
+                    issued.insert(addr.block(), idx);
+                }
+                // Legacy clflush skips the issued stage.
+                Event::Clflush { addr } => {
+                    ordered.insert(addr.block(), idx);
+                }
+                Event::Pcommit => {
+                    for (b, i) in ordered.drain() {
+                        let e = inflight.entry(b).or_insert(i);
+                        *e = (*e).max(i);
+                    }
+                }
+                Event::Sfence | Event::Mfence => {
+                    for (b, i) in inflight.drain() {
+                        let e = guaranteed.entry(b).or_insert(i);
+                        *e = (*e).max(i);
+                    }
+                    for (b, i) in issued.drain() {
+                        let e = ordered.entry(b).or_insert(i);
+                        *e = (*e).max(i);
+                    }
+                }
+                _ => {}
+            }
+        }
+        ReferenceCrash {
+            base,
+            crash_idx,
+            stores,
+            first_store,
+            guaranteed,
+        }
+    }
+
+    fn guarantee(&self, block: BlockId) -> usize {
+        self.guaranteed.get(&block).copied().unwrap_or(0)
+    }
+
+    fn cut_points(&self, block: BlockId) -> Vec<usize> {
+        let g = self.guarantee(block);
+        let mut pts = vec![g];
+        if let Some(stores) = self.stores.get(&block) {
+            pts.extend(stores.iter().filter(|s| s.0 >= g).map(|s| s.0 + 1));
+        }
+        pts.dedup();
+        pts
+    }
+
+    fn image_seeded(&self, seed: u64) -> Space {
+        let mut img = self.base.clone();
+        for (&block, stores) in &self.stores {
+            let (g, c) = (self.guarantee(block), self.crash_idx);
+            let x = splitmix64(seed ^ block.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let cut = g + (x as usize) % (c - g + 1).max(1);
+            for &(idx, addr, size, value) in stores {
+                if idx < cut {
+                    img.write_uint(addr, size, value);
+                }
+            }
+        }
+        img
+    }
+}
+
+/// Blocks a random persist program touches (one more stays clean).
+const PROGRAM_BLOCKS: u64 = 4;
+
+fn program_addr(block: u64, word: u64) -> PAddr {
+    PAddr::new(BLOCK_SIZE * (16 + block) + 8 * word)
+}
+
+/// A random persist program: stores, all three flush instructions,
+/// `pcommit`, both fences and some persistence-neutral events, over a
+/// few blocks, emitted as raw events so one trace can mix flush kinds.
+fn persist_program() -> impl Strategy<Value = Vec<Event>> {
+    prop::collection::vec((0..11u8, 0..PROGRAM_BLOCKS, any::<u64>()), 0..48).prop_map(|ops| {
+        ops.into_iter()
+            .map(|(kind, block, value)| {
+                let addr = program_addr(block, value % 8);
+                match kind {
+                    0..=2 => Event::Store {
+                        addr,
+                        size: 8,
+                        value,
+                    },
+                    3 => Event::Clwb { addr },
+                    4 => Event::ClflushOpt { addr },
+                    5 => Event::Clflush { addr },
+                    6 => Event::Pcommit,
+                    7 => Event::Sfence,
+                    8 => Event::Mfence,
+                    9 => Event::TxEnd(value),
+                    _ => Event::Load {
+                        addr,
+                        size: 8,
+                        dep: false,
+                    },
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The frontier built once over a whole trace, viewed at crash index
+    /// `c`, is indistinguishable from a straight-line replay of
+    /// `events[..c]`: same guarantees, same dirty blocks in the same
+    /// order, same cut points and same seeded images, at every `c`.
+    #[test]
+    fn frontier_view_matches_reference_replay(events in persist_program()) {
+        let mut base = Space::new();
+        for b in 0..PROGRAM_BLOCKS {
+            base.write_u64(program_addr(b, b), 100 + b);
+        }
+        let blocks: Vec<BlockId> = (0..=PROGRAM_BLOCKS).map(|b| program_addr(b, 0).block()).collect();
+        let frontier = PersistFrontier::new(&events);
+        for c in 0..=events.len() {
+            let view = frontier.at(&base, &events, c);
+            let reference = ReferenceCrash::new(&base, &events, c);
+            for &b in &blocks {
+                prop_assert_eq!(view.guarantee(b), reference.guarantee(b), "guarantee @ {}", c);
+                prop_assert_eq!(view.cut_points(b), reference.cut_points(b), "cut points @ {}", c);
+            }
+            let dirty: Vec<BlockId> = view.dirty_blocks().map(|(b, _)| b).collect();
+            prop_assert_eq!(&dirty, &reference.first_store, "dirty blocks @ {}", c);
+            let ref_dirty: BTreeSet<u64> = reference.stores.keys().map(|b| b.raw()).collect();
+            let got_dirty: BTreeSet<u64> = dirty.iter().map(|b| b.raw()).collect();
+            prop_assert_eq!(got_dirty, ref_dirty);
+            for seed in [0u64, 1, 7, 0xBEEF, u64::MAX] {
+                let (got, want) = (view.image_seeded(seed), reference.image_seeded(seed));
+                for b in 0..=PROGRAM_BLOCKS {
+                    for w in 0..8 {
+                        let a = program_addr(b, w);
+                        prop_assert_eq!(got.read_u64(a), want.read_u64(a), "seed {} @ {}", seed, c);
+                    }
+                }
+            }
+        }
+        // The per-prefix constructor is the same frontier.
+        for c in 0..=events.len() {
+            let (sim, view) = (CrashSim::new(&base, &events, c), frontier.at(&base, &events, c));
+            for &b in &blocks {
+                prop_assert_eq!(sim.guarantee(b), view.guarantee(b));
             }
         }
     }

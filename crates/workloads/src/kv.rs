@@ -37,9 +37,11 @@
 //! load-bearing.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use spp_pmem::{
-    hash64, splitmix64, CrashSim, Event, FlushMode, PAddr, PmemEnv, Space, Variant, BLOCK_SIZE,
+    hash64, splitmix64, Event, FlushMode, PAddr, PersistFrontier, PmemEnv, Space, Variant,
+    BLOCK_SIZE,
 };
 
 use crate::oracle::{check_scan_window, OracleViolation, ViolationKind};
@@ -959,6 +961,11 @@ pub struct KvBundle {
     states: Vec<BTreeMap<u64, u64>>,
     muts: Vec<MutationTrace>,
     base_lsn: u64,
+    /// Built on the first crash check, not while recording: the
+    /// recording's persist frontier, and per mutation the first crash
+    /// index from which it and every earlier mutation are guaranteed
+    /// durable (`usize::MAX`: never).
+    index: OnceLock<(PersistFrontier, Vec<usize>)>,
 }
 
 /// Records a KV bundle: populate unrecorded, snapshot the quiesced
@@ -1001,6 +1008,7 @@ pub fn record_kv_bundle(bspec: &KvBundleSpec) -> KvBundle {
         states,
         muts,
         base_lsn,
+        index: OnceLock::new(),
     }
 }
 
@@ -1016,14 +1024,29 @@ impl KvBundle {
         self.muts.len()
     }
 
+    fn index(&self) -> &(PersistFrontier, Vec<usize>) {
+        self.index.get_or_init(|| {
+            let frontier = PersistFrontier::new(&self.events);
+            let mut from = 0;
+            let durable_from = self.muts.iter().map(|m| {
+                // Durable from the fence of the slot's first guarantee
+                // step past the record's last store.
+                let steps = frontier.steps(m.wal_slot.block());
+                let k = steps.partition_point(|&(_, g)| g as usize <= m.last_store_idx);
+                let own = steps.get(k).map_or(usize::MAX, |s| s.0 as usize + 1);
+                from = own.max(from);
+                from
+            });
+            let durable_from = durable_from.collect();
+            (frontier, durable_from)
+        })
+    }
+
     /// Mutations whose WAL record is guaranteed durable at `crash_idx`
     /// (a contiguous prefix: every record is barriered before the next
     /// begins).
-    pub fn completed(&self, sim: &CrashSim<'_>) -> usize {
-        self.muts
-            .iter()
-            .take_while(|m| sim.guarantee(m.wal_slot.block()) > m.last_store_idx)
-            .count()
+    pub fn completed(&self, crash_idx: usize) -> usize {
+        self.index().1.partition_point(|&c| c <= crash_idx)
     }
 
     /// Mutations whose WAL append began before `crash_idx`.
@@ -1108,9 +1131,9 @@ impl KvBundle {
     ///
     /// Panics if `crash_idx > events().len()`.
     pub fn check_crash(&self, crash_idx: usize, seed: u64) -> Result<(), OracleViolation> {
-        let sim = CrashSim::new(&self.base, &self.events, crash_idx);
+        let sim = self.index().0.at(&self.base, &self.events, crash_idx);
         let img = sim.image_seeded(seed);
-        self.check_image(&img, self.completed(&sim), self.started(crash_idx))
+        self.check_image(&img, self.completed(crash_idx), self.started(crash_idx))
     }
 }
 
@@ -1297,7 +1320,7 @@ mod tests {
     #[test]
     fn eager_final_image_is_the_last_state() {
         let b = record_kv_bundle(&bundle_spec(Variant::LogPSf, false));
-        let sim = CrashSim::new(&b.base, b.events(), b.events().len());
+        let sim = spp_pmem::CrashSim::new(&b.base, b.events(), b.events().len());
         let img = sim.image_everything();
         let n = b.mutation_count();
         b.check_image(&img, n, n)
@@ -1349,5 +1372,24 @@ mod tests {
         spec.mix.read_pm = 999;
         let r = std::panic::catch_unwind(|| KvWorkload::new(spec));
         assert!(r.is_err(), "bad mix must be rejected");
+    }
+
+    /// KV `check_crash` verdicts, witness details included, pinned by
+    /// digest to the verdicts a per-crash-point replay produced.
+    #[test]
+    fn check_crash_verdicts_are_pinned() {
+        for (variant, elide, want) in [
+            (Variant::Log, false, (4, 9_411_913_959_891_939_414)),
+            (Variant::LogP, false, (677, 10_926_915_080_545_598_079)),
+            (Variant::LogPSf, true, (1092, 11_238_091_117_968_564_097)),
+        ] {
+            let b = record_kv_bundle(&bundle_spec(variant, elide));
+            let got = crate::oracle::tests::verdict_digest(
+                &persist_boundaries(b.events()),
+                4,
+                |p, seed| b.check_crash(p, seed),
+            );
+            assert_eq!(got, want, "{variant:?} elide={elide}");
+        }
     }
 }

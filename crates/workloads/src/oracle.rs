@@ -19,15 +19,18 @@
 //! durable pre-trace image, the recorded event stream, the undo-log
 //! layout, and the expected logical state at every operation boundary.
 //! [`CrashBundle::check_crash`] then replays one `(crash_idx, seed)`
-//! adversarial writeback schedule end to end: crash simulation →
-//! recovery → structural verification → boundary matching.
+//! adversarial writeback schedule end to end: crash image → recovery →
+//! structural verification → boundary matching. The bundle's persist
+//! frontier is built once, on the first check, and every check views it
+//! at its crash index.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spp_pmem::{recover, CrashSim, Event, FlushMode, LogLayout, PmemEnv, Space, Variant};
+use spp_pmem::{recover, Event, FlushMode, LogLayout, PersistFrontier, PmemEnv, Space, Variant};
 
 use crate::{make_workload, BenchId, OpOutcome, Workload};
 
@@ -60,6 +63,35 @@ pub struct CrashBundle {
     /// Logical contents after 0, 1, ..., `sim_ops` completed operations.
     states: Vec<BTreeSet<u64>>,
     workload: Box<dyn Workload>,
+    /// Built on the first crash check, not while recording.
+    index: OnceLock<StreamIndex>,
+}
+
+/// What every crash check of one event stream shares, built in one pass
+/// over it: the stream's [`PersistFrontier`] and the positions of its
+/// `TxEnd` markers.
+#[derive(Debug)]
+pub struct StreamIndex {
+    frontier: PersistFrontier,
+    tx_ends: Vec<usize>,
+}
+
+impl StreamIndex {
+    /// Indexes `events`.
+    pub fn new(events: &[Event]) -> Self {
+        StreamIndex {
+            frontier: PersistFrontier::new(events),
+            tx_ends: (0..events.len())
+                .filter(|&i| matches!(events[i], Event::TxEnd(_)))
+                .collect(),
+        }
+    }
+
+    /// Number of `TxEnd` markers before `crash_idx`: the count of
+    /// operations certainly completed at the crash.
+    pub fn completed_ops(&self, crash_idx: usize) -> usize {
+        self.tx_ends.partition_point(|&i| i < crash_idx)
+    }
 }
 
 /// How a crash image failed its oracle.
@@ -93,7 +125,8 @@ impl fmt::Display for ViolationKind {
 /// strictly ascending (duplicates and disorder are torn-structure
 /// symptoms that set-based comparison silently collapses), and the
 /// window contents must equal `prev ∩ [lo, hi]` or `next ∩ [lo, hi]` —
-/// a scan mixing both states observed a half-applied operation.
+/// a scan mixing both states observed a half-applied operation. The
+/// check allocates only to describe a failure.
 ///
 /// # Errors
 ///
@@ -123,21 +156,39 @@ pub fn check_scan_window(
             w[0], w[1]
         ));
     }
-    let got: BTreeSet<u64> = scan.iter().copied().collect();
-    let pw: BTreeSet<u64> = prev.range(lo..=hi).copied().collect();
-    let nw: BTreeSet<u64> = next.range(lo..=hi).copied().collect();
-    if got == pw || got == nw {
+    // Strictly ascending, so the scan is its own key set.
+    if scan.iter().eq(prev.range(lo..=hi)) || scan.iter().eq(next.range(lo..=hi)) {
         Ok(())
     } else {
         fail(format!(
             "scan of [{lo}, {hi}] returned {} keys, matching neither the pre-boundary window \
              ({} keys) nor the post-boundary window ({} keys) — a half-applied operation is \
              visible",
-            got.len(),
-            pw.len(),
-            nw.len()
+            scan.len(),
+            prev.range(lo..=hi).count(),
+            next.range(lo..=hi).count()
         ))
     }
+}
+
+/// Checks `(crash_idx, seed)` schedules over `points × 0..seeds` in
+/// lexicographic order and stops at the first failure. Returns how many
+/// schedules were checked and the first failing one, if any.
+pub fn first_violation(
+    points: impl IntoIterator<Item = usize>,
+    seeds: u64,
+    check: impl Fn(usize, u64) -> Result<(), OracleViolation>,
+) -> (u64, Option<(usize, u64, OracleViolation)>) {
+    let mut checks = 0;
+    for p in points {
+        for seed in 0..seeds {
+            checks += 1;
+            if let Err(v) = check(p, seed) {
+                return (checks, Some((p, seed, v)));
+            }
+        }
+    }
+    (checks, None)
 }
 
 /// An oracle failure for one `(crash_idx, seed)` schedule.
@@ -207,6 +258,7 @@ pub fn record_bundle(spec: &BundleSpec) -> CrashBundle {
         layout,
         states,
         workload: w,
+        index: OnceLock::new(),
     }
 }
 
@@ -228,32 +280,22 @@ impl CrashBundle {
         &self.states
     }
 
+    /// The recording's [`StreamIndex`], built on first use.
+    fn index(&self) -> &StreamIndex {
+        self.index.get_or_init(|| StreamIndex::new(&self.events))
+    }
+
     /// Number of `TxEnd` markers before `crash_idx`: the count of
     /// operations certainly completed at the crash.
     pub fn completed_ops(&self, crash_idx: usize) -> usize {
-        self.events[..crash_idx]
-            .iter()
-            .filter(|e| matches!(e, Event::TxEnd(_)))
-            .count()
+        self.index().completed_ops(crash_idx)
     }
 
-    /// Runs recovery and the full oracle against `image`, which must be
-    /// a candidate NVMM image of a crash at `crash_idx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation if the recovered structure is invalid or
-    /// its contents match neither adjacent operation boundary.
-    pub fn check_image(&self, image: &mut Space, crash_idx: usize) -> Result<(), OracleViolation> {
-        self.check_image_at(image, self.completed_ops(crash_idx))
-    }
-
-    /// The oracle body, parameterized on the completed-operation count
-    /// so foreign event streams (see [`CrashBundle::check_crash_of`])
-    /// can supply their own.
+    /// Runs recovery and the full oracle against `image`, a candidate
+    /// NVMM image of a crash after `completed` operations.
     fn check_image_at(&self, image: &mut Space, completed: usize) -> Result<(), OracleViolation> {
         recover(image, &self.layout);
-        let raw_keys = match self.workload.verify(image) {
+        let mut keys = match self.workload.verify(image) {
             Ok(s) => s.keys,
             Err(e) => {
                 return Err(OracleViolation {
@@ -262,37 +304,31 @@ impl CrashBundle {
                 })
             }
         };
-        let got: BTreeSet<u64> = raw_keys.iter().copied().collect();
+        // Workloads whose verify returns unsorted keys are sorted first;
+        // duplicates survive sorting.
+        keys.sort_unstable();
+        let distinct = || keys.chunk_by(|a, b| a == b).map(|run| &run[0]);
         // The crash may land between the durable logged_bit clear and
         // the (zero-cost) TxEnd marker: the next state is then already
         // durable despite not being counted.
         let next = (completed + 1).min(self.states.len() - 1);
-        if got != self.states[completed] && got != self.states[next] {
+        let (prev_state, next_state) = (&self.states[completed], &self.states[next]);
+        if !distinct().eq(prev_state) && !distinct().eq(next_state) {
             return Err(OracleViolation {
                 kind: ViolationKind::StateMismatch,
                 detail: format!(
                     "recovered contents ({} keys) match neither the state after {completed} \
                      completed operations ({} keys) nor the next boundary ({} keys)",
-                    got.len(),
-                    self.states[completed].len(),
-                    self.states[next].len()
+                    distinct().count(),
+                    prev_state.len(),
+                    next_state.len()
                 ),
             });
         }
         // Multi-key scan semantics: the raw key list, read as one full-
         // range scan, must be a consistent view of a single boundary.
-        // This catches duplicate keys that set conversion collapses
-        // (workloads whose verify returns unsorted keys are sorted
-        // first; duplicates survive sorting).
-        let mut sorted = raw_keys;
-        sorted.sort_unstable();
-        check_scan_window(
-            &sorted,
-            0,
-            u64::MAX,
-            &self.states[completed],
-            &self.states[next],
-        )
+        // This catches duplicate keys that set comparison collapses.
+        check_scan_window(&keys, 0, u64::MAX, prev_state, next_state)
     }
 
     /// Replays one adversarial schedule: crash at `crash_idx`, per-block
@@ -307,9 +343,7 @@ impl CrashBundle {
     ///
     /// Panics if `crash_idx > events().len()`.
     pub fn check_crash(&self, crash_idx: usize, seed: u64) -> Result<(), OracleViolation> {
-        let sim = CrashSim::new(&self.base, &self.events, crash_idx);
-        let mut img = sim.image_seeded(seed);
-        self.check_image(&mut img, crash_idx)
+        self.check_crash_of(&self.events, self.index(), crash_idx, seed)
     }
 
     /// Like [`CrashBundle::check_crash`], but crashes a *foreign* event
@@ -317,8 +351,9 @@ impl CrashBundle {
     /// persist-elision plan applied by `spp_bench::optimize`) that must
     /// still satisfy the same recovery oracle. The stream must perform
     /// the same stores and transactions as the recording; only persist
-    /// operations may differ. The completed-operation count is taken
-    /// from `events`, not from the recording.
+    /// operations may differ. `index` is [`StreamIndex::new`] of
+    /// `events`, built once per stream; the completed-operation count
+    /// is taken from it, not from the recording.
     ///
     /// # Errors
     ///
@@ -326,25 +361,25 @@ impl CrashBundle {
     ///
     /// # Panics
     ///
-    /// Panics if `crash_idx > events.len()`.
+    /// Panics if `index` was built over a stream of another length, or
+    /// if `crash_idx > events.len()`.
     pub fn check_crash_of(
         &self,
         events: &[Event],
+        index: &StreamIndex,
         crash_idx: usize,
         seed: u64,
     ) -> Result<(), OracleViolation> {
-        let sim = CrashSim::new(&self.base, events, crash_idx);
-        let mut img = sim.image_seeded(seed);
-        let completed = events[..crash_idx]
-            .iter()
-            .filter(|e| matches!(e, Event::TxEnd(_)))
-            .count();
-        self.check_image_at(&mut img, completed)
+        let mut img = index
+            .frontier
+            .at(&self.base, events, crash_idx)
+            .image_seeded(seed);
+        self.check_image_at(&mut img, index.completed_ops(crash_idx))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use spp_pmem::persist_boundaries;
 
@@ -402,9 +437,9 @@ mod tests {
     #[test]
     fn eager_final_image_is_the_last_state() {
         let b = record_bundle(&spec(BenchId::RbTree, Variant::LogPSf));
-        let sim = CrashSim::new(&b.base, b.events(), b.events().len());
+        let sim = spp_pmem::CrashSim::new(&b.base, b.events(), b.events().len());
         let mut img = sim.image_everything();
-        b.check_image(&mut img, b.events().len())
+        b.check_image_at(&mut img, b.completed_ops(b.events().len()))
             .expect("eager final image must be the final state");
     }
 
@@ -473,5 +508,65 @@ mod tests {
             detail: "y".into(),
         };
         assert!(v2.to_string().starts_with("structure-invalid"));
+    }
+    fn pin_cases() -> Vec<BundleSpec> {
+        let with = |id, variant, flush_mode| BundleSpec {
+            flush_mode,
+            ..spec(id, variant)
+        };
+        vec![
+            with(BenchId::LinkedList, Variant::Log, FlushMode::Clwb),
+            with(BenchId::AvlTree, Variant::LogP, FlushMode::Clwb),
+            with(BenchId::StringSwap, Variant::Log, FlushMode::Clwb),
+            with(BenchId::HashMap, Variant::LogP, FlushMode::ClflushOpt),
+            with(BenchId::RbTree, Variant::Log, FlushMode::ClflushOpt),
+            with(BenchId::BTree, Variant::LogP, FlushMode::Clflush),
+            with(BenchId::Graph, Variant::Log, FlushMode::Clflush),
+        ]
+    }
+
+    /// FNV-1a digest of every `(crash point, seed, verdict)` line, with
+    /// the number of violations among them.
+    pub(crate) fn verdict_digest(
+        points: &[usize],
+        seeds: u64,
+        check: impl Fn(usize, u64) -> Result<(), OracleViolation>,
+    ) -> (usize, u64) {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut violations = 0;
+        for &p in points {
+            for seed in 0..seeds {
+                let verdict = check(p, seed);
+                violations += usize::from(verdict.is_err());
+                for byte in format!("{p} {seed} {verdict:?}\n").bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        (violations, digest)
+    }
+
+    /// `check_crash` verdicts, witness details included, on bundles
+    /// whose persist protocol is broken in each of the three flush
+    /// modes: every `(crash point, seed, verdict)` line is pinned by
+    /// digest to the verdicts a per-crash-point replay produced.
+    #[test]
+    fn check_crash_verdicts_are_pinned() {
+        let pinned = [
+            (40, 8_410_304_647_908_681_127),
+            (374, 11_855_687_577_627_468_517),
+            (37, 10_895_822_288_318_508_206),
+            (229, 5_593_760_013_124_810_280),
+            (40, 10_820_577_323_763_422_913),
+            (401, 6_232_535_855_207_806_768),
+            (40, 17_033_988_293_244_743_489),
+        ];
+        for (s, want) in pin_cases().into_iter().zip(pinned) {
+            let b = record_bundle(&s);
+            let got = verdict_digest(&persist_boundaries(b.events()), 4, |p, seed| {
+                b.check_crash(p, seed)
+            });
+            assert_eq!(got, want, "{} {:?} {}", s.id, s.variant, s.flush_mode);
+        }
     }
 }
