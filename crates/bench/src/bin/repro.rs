@@ -112,26 +112,22 @@
 //!   --trace-out PATH  (profile) write the merged Chrome trace_event
 //!              document to PATH (loadable in Perfetto or
 //!              chrome://tracing)
-//!   --bench-out PATH  (all/profile/kv/optimize) where to write the
-//!              `specpersist/perfbench-v1` perf-trajectory record
-//!              (default `BENCH_6.json`): simulated-cycles-per-second
-//!              per bench x variant, wall time, peak RSS; file + stderr
-//!              only, never stdout
 //!   --trace-mem-cap BYTES  cap the bytes of recorded traces the
 //!              harness may hold resident; a run that trips the cap
 //!              fails with a typed one-line error (never an OOM kill)
 //!              and dumps the per-trace byte footprint to stderr
 //!
 //! Invalid input (a malformed or zero --scale/--jobs, an unknown
-//! command, benchmark, variant, or leg, or contradictory journal
-//! flags) exits non-zero with a one-line `repro: ...` diagnostic on
-//! stderr.
+//! command, flag, benchmark, variant, or leg, a positional word the
+//! command does not take, or contradictory journal flags) exits
+//! non-zero with a one-line `repro: ...` diagnostic on stderr.
 //!
 //! Every trace is recorded exactly once per invocation and shared
 //! across all simulator configurations (the `repro all` sweep replays
 //! most traces several times). `--jobs` only changes wall time: the
 //! report on stdout is byte-identical at every job count; stage
-//! timings go to stderr.
+//! timings (and, for `all`, peak RSS) go to stderr. No command writes
+//! a file it was not told to write.
 //! ```
 
 use std::fmt;
@@ -143,7 +139,7 @@ use spp_bench::report;
 use spp_bench::study::{staged, StudyCli, StudyError, StudyRunner};
 use spp_bench::{Experiment, Harness};
 
-const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH] [--bench-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
+const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
 
 /// A rejected invocation: every variant renders as one line, and every
 /// variant exits non-zero. Parsing never panics on user input.
@@ -153,6 +149,10 @@ enum CliError {
     NoCommand,
     /// The command word is not one `repro` knows.
     UnknownCommand(String),
+    /// A `--` word that is not one of `repro`'s flags.
+    UnknownFlag(String),
+    /// A positional word beyond those the command takes.
+    UnexpectedArg { cmd: String, arg: String },
     /// A flag's value is missing or unusable (non-numeric, negative,
     /// or below the flag's minimum).
     BadValue {
@@ -198,6 +198,10 @@ impl fmt::Display for CliError {
         match self {
             CliError::NoCommand => f.write_str("no command given"),
             CliError::UnknownCommand(c) => write!(f, "unknown command {c:?}"),
+            CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag:?}"),
+            CliError::UnexpectedArg { cmd, arg } => {
+                write!(f, "unexpected argument {arg:?} for {cmd:?}")
+            }
             CliError::BadValue { flag, given, want } => {
                 write!(f, "{flag} {given:?} is invalid (want {want})")
             }
@@ -220,7 +224,7 @@ impl fmt::Display for CliError {
                 write!(f, "unknown crashfuzz leg {l:?} (want all|log|logp|logpsf)")
             }
             CliError::FlagUnsupported { flag, cmd } => {
-                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, profile, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --bench-out: all, profile, kv, optimize; --trace-mem-cap: any trace-recording command)")
+                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, profile, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --trace-mem-cap: any trace-recording command)")
             }
             CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
             CliError::ResumeMissingJournal(p) => {
@@ -251,13 +255,13 @@ struct Cli {
     storm_bound: Option<u64>,
     model_knob: Option<ModelKnob>,
     trace_out: Option<String>,
-    bench_out: Option<String>,
     trace_mem_cap: Option<u64>,
     positional: Vec<String>,
 }
 
 /// Parses everything after the binary name. Flags may appear anywhere;
-/// all remaining words are positional arguments for the command.
+/// a `--` word that is not a known flag is an error, and all remaining
+/// words are positional arguments for the command.
 fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let Some(cmd) = args.first().cloned() else {
         return Err(CliError::NoCommand);
@@ -270,7 +274,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let mut storm_bound: Option<u64> = None;
     let mut model_knob: Option<ModelKnob> = None;
     let mut trace_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut trace_mem_cap: Option<u64> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut i = 1;
@@ -340,19 +343,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                     })
                 }
             },
-            "--bench-out" => match args.get(i + 1) {
-                Some(next) if !next.is_empty() && !next.starts_with("--") => {
-                    bench_out = Some(next.clone());
-                    i += 2;
-                }
-                _ => {
-                    return Err(CliError::BadValue {
-                        flag: "--bench-out",
-                        given: args.get(i + 1).cloned().unwrap_or_default(),
-                        want: "a file path",
-                    })
-                }
-            },
             "--iters" => {
                 iters = Some(flag_value(
                     "--iters",
@@ -396,6 +386,7 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                 })?);
                 i += 2;
             }
+            flag if flag.starts_with("--") => return Err(CliError::UnknownFlag(flag.to_string())),
             other => {
                 positional.push(other.to_string());
                 i += 1;
@@ -412,7 +403,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         storm_bound,
         model_knob,
         trace_out,
-        bench_out,
         trace_mem_cap,
         positional,
     })
@@ -461,13 +451,6 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
             cmd: cli.cmd.clone(),
         });
     }
-    if cli.bench_out.is_some() && !matches!(cli.cmd.as_str(), "all" | "profile" | "kv" | "optimize")
-    {
-        return Err(CliError::FlagUnsupported {
-            flag: "--bench-out",
-            cmd: cli.cmd.clone(),
-        });
-    }
     // `trace` replays one recording to stdout, `soak` spawns child
     // processes, and `journal` never simulates: none of them route
     // traces through the harness cache the cap governs.
@@ -481,6 +464,27 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
         return Err(CliError::ResumeNeedsJournal);
     }
     Ok(())
+}
+
+/// Rejects an unknown command, and positional words beyond those the
+/// command takes, before any work starts. Too few words are the
+/// command's own typed error (`trace needs ...`).
+fn check_positionals(cli: &Cli) -> Result<(), CliError> {
+    let takes = match cli.cmd.as_str() {
+        "trace" | "profile" | "optimize" | "journal" => 2,
+        "crashfuzz" => 1,
+        "all" | "table1" | "table2" | "table3" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12"
+        | "fig13" | "fig14" | "ablation" | "incremental" | "flushmode" | "json" | "multicore"
+        | "litmus" | "kv" | "faultsim" | "soak" => 0,
+        _ => return Err(CliError::UnknownCommand(cli.cmd.clone())),
+    };
+    match cli.positional.get(takes) {
+        Some(arg) => Err(CliError::UnexpectedArg {
+            cmd: cli.cmd.clone(),
+            arg: arg.clone(),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// The CLI rendering of a [`StudyError`]: the study façade's journal
@@ -511,42 +515,18 @@ fn verdict(ok: bool) -> ExitCode {
     }
 }
 
-/// Where the perf-trajectory record lands unless `--bench-out` says
-/// otherwise. The `6` is the trajectory point's sequence number, not a
-/// schema version (the document's envelope carries that).
-const DEFAULT_BENCH_OUT: &str = "BENCH_6.json";
-
-/// Writes the `specpersist/perfbench-v1` trajectory record for this
-/// invocation: per bench x variant simulation throughput, end-to-end
-/// wall time, and peak RSS. Wall numbers are machine-dependent, so the
-/// record goes to a file and the announcement to stderr — stdout stays
-/// byte-identical across `--jobs`. A run whose simulations were all
-/// replayed from a journal has nothing to report and writes nothing.
-fn write_perfbench(harness: &Harness, jobs: usize, wall_secs: f64, path: &str) {
-    let rep = spp_bench::PerfReport {
-        scale: harness.exp.scale,
-        seed: harness.exp.seed,
-        jobs,
-        wall_secs,
-        peak_rss_kb: spp_bench::perfbench::peak_rss_kb(),
-        cells: harness.perf_cells(),
-        extras: harness.perf_labeled_cells(),
+/// The process's peak resident set size in KiB, read from
+/// `/proc/self/status` (`VmHWM`); 0 where that interface is missing.
+fn peak_rss_kb() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
     };
-    if rep.cells.is_empty() && rep.extras.is_empty() {
-        eprintln!("# perfbench: no simulations ran; {path} not written");
-        return;
-    }
-    let mut doc = rep.render_json();
-    doc.push('\n');
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!(
-            "# perfbench: {} cells, {:.2}s wall, peak rss {} KiB -> {path}",
-            rep.cells.len() + rep.extras.len(),
-            wall_secs,
-            rep.peak_rss_kb
-        ),
-        Err(e) => eprintln!("repro: --bench-out {path:?}: {e}"),
-    }
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0)
 }
 
 fn main() -> ExitCode {
@@ -562,6 +542,7 @@ fn main() -> ExitCode {
 }
 
 fn run(cli: Cli) -> Result<ExitCode, CliError> {
+    check_positionals(&cli)?;
     check_flag_scope(&cli)?;
     let Cli {
         cmd,
@@ -573,7 +554,6 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
         storm_bound,
         model_knob,
         trace_out,
-        bench_out,
         trace_mem_cap,
         positional,
     } = cli;
@@ -647,15 +627,10 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
                 "each (bench, variant, scale, seed, flushmode) trace must be recorded exactly once"
             );
             eprintln!(
-                "# total: {:.2}s ({} jobs)",
+                "# total: {:.2}s ({} jobs), peak rss {} KiB",
                 t0.elapsed().as_secs_f64(),
-                jobs
-            );
-            write_perfbench(
-                &harness,
                 jobs,
-                t0.elapsed().as_secs_f64(),
-                bench_out.as_deref().unwrap_or(DEFAULT_BENCH_OUT),
+                peak_rss_kb()
             );
         }
         "table1" => print!("{}", report::table1(&exp)),
@@ -695,22 +670,10 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
         }
         "kv" => {
             let code = kv_cmd(&harness, &study)?;
-            write_perfbench(
-                &harness,
-                jobs,
-                t0.elapsed().as_secs_f64(),
-                bench_out.as_deref().unwrap_or(DEFAULT_BENCH_OUT),
-            );
             return check_trace_mem(&harness, code);
         }
         "optimize" => {
             let code = optimize_cmd(&harness, &positional, &study)?;
-            write_perfbench(
-                &harness,
-                jobs,
-                t0.elapsed().as_secs_f64(),
-                bench_out.as_deref().unwrap_or(DEFAULT_BENCH_OUT),
-            );
             return check_trace_mem(&harness, code);
         }
         "trace" => return trace_cmd(&positional, &exp).map(|()| ExitCode::SUCCESS),
@@ -725,12 +688,6 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
         "soak" => return soak_cmd(&exp, jobs, iters, &study),
         "profile" => {
             let code = profile_cmd(&harness, &positional, &study, trace_out.as_deref())?;
-            write_perfbench(
-                &harness,
-                jobs,
-                t0.elapsed().as_secs_f64(),
-                bench_out.as_deref().unwrap_or(DEFAULT_BENCH_OUT),
-            );
             return check_trace_mem(&harness, code);
         }
         _ => return Err(CliError::UnknownCommand(cmd)),
@@ -755,15 +712,14 @@ fn check_trace_mem(harness: &Harness, code: ExitCode) -> Result<ExitCode, CliErr
     }
 }
 
-/// `repro kv [--journal PATH [--resume]] [--bench-out PATH]`: the
+/// `repro kv [--journal PATH [--resume]]`: the
 /// crash-recoverable KV storage-engine study — WAL + checkpointed
 /// B+tree under a mixed YCSB-style load: baseline-vs-SP cycles across
 /// a checkpoint-interval sweep, crashfuzz at every persist boundary
 /// (clean under Log+P+Sf, witness-minimized under Log, and a
 /// must-fail leg proving an elided WAL checksum is caught), plus the
 /// bounded-memory streamed leg. Prints the per-cell tables and one
-/// `specpersist/kv-v1` JSON line; the labeled perf cells join the
-/// `--bench-out` trajectory record. With a journal, completed cells
+/// `specpersist/kv-v1` JSON line. With a journal, completed cells
 /// are recorded and `--resume` replays them byte-identically. Exits
 /// non-zero if any cell failed its oracle or the SP legs regressed.
 fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
@@ -772,17 +728,16 @@ fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
     Ok(verdict(runner.run(|j| run_kv_opts(harness, j))))
 }
 
-/// `repro optimize <BENCH> <VARIANT> [--journal PATH [--resume]]
-/// [--bench-out PATH]`: the persist-path trace optimizer — analyze one
-/// recorded trace for redundant persist operations, elide them, replay
-/// the optimized trace on both pipeline cores x {baseline, SP} with
-/// the spp-obs probe attached, and prove the plan safe by crashfuzzing
-/// every persist boundary of the optimized trace (plus the inverted
-/// leg eliding a required flush, which the oracle must catch). Prints
-/// the before/after tables and one `specpersist/optimize-v1` JSON
-/// line; the labeled perf cells join the `--bench-out` trajectory
-/// record. With a journal, completed cells are recorded and `--resume`
-/// replays them byte-identically. Exits non-zero if any leg fails.
+/// `repro optimize <BENCH> <VARIANT> [--journal PATH [--resume]]`:
+/// the persist-path trace optimizer — analyze one recorded trace for
+/// redundant persist operations, elide them, replay the optimized
+/// trace on both pipeline cores x {baseline, SP} with the spp-obs
+/// probe attached, and prove the plan safe by crashfuzzing every
+/// persist boundary of the optimized trace (plus the inverted leg
+/// eliding a required flush, which the oracle must catch). Prints the
+/// before/after tables and one `specpersist/optimize-v1` JSON line.
+/// With a journal, completed cells are recorded and `--resume` replays
+/// them byte-identically. Exits non-zero if any leg fails.
 fn optimize_cmd(
     harness: &Harness,
     positional: &[String],
@@ -814,11 +769,8 @@ fn optimize_cmd(
 /// codes: 0 when every line verified, 2 when damage was found, 1 when
 /// the file is missing or unreadable.
 fn journal_cmd(positional: &[String]) -> Result<ExitCode, CliError> {
-    let (Some("check"), Some(path), None) = (
-        positional.first().map(String::as_str),
-        positional.get(1),
-        positional.get(2),
-    ) else {
+    let (Some("check"), Some(path)) = (positional.first().map(String::as_str), positional.get(1))
+    else {
         return Err(CliError::MissingJournalCheckArgs);
     };
     Ok(if journal_check(path)? == 0 {
@@ -1236,6 +1188,11 @@ mod tests {
         let errors = [
             CliError::NoCommand,
             CliError::UnknownCommand("fig99".into()),
+            CliError::UnknownFlag("--jbos".into()),
+            CliError::UnexpectedArg {
+                cmd: "all".into(),
+                arg: "extra".into(),
+            },
             CliError::BadValue {
                 flag: "--jobs",
                 given: "-2".into(),
@@ -1551,7 +1508,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_is_a_journaled_command_with_a_bench_out() {
+    fn optimize_is_a_journaled_command() {
         let cli = parse_args(&args(&[
             "optimize",
             "LL",
@@ -1559,8 +1516,6 @@ mod tests {
             "--journal",
             "j.jsonl",
             "--resume",
-            "--bench-out",
-            "b.json",
             "--trace-mem-cap",
             "4096",
         ]))
@@ -1568,7 +1523,6 @@ mod tests {
         assert_eq!(cli.positional, args(&["LL", "logpsf"]));
         assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
         assert!(cli.resume);
-        assert_eq!(cli.bench_out.as_deref(), Some("b.json"));
         assert_eq!(cli.trace_mem_cap, Some(4096));
         assert!(check_flag_scope(&cli).is_ok());
         // Profile-only flags stay profile-only.
@@ -1599,31 +1553,81 @@ mod tests {
     }
 
     #[test]
-    fn kv_is_a_journaled_command_with_a_bench_out() {
-        let cli = parse_args(&args(&[
-            "kv",
-            "--journal",
-            "j.jsonl",
-            "--resume",
-            "--bench-out",
-            "b.json",
-        ]))
-        .unwrap();
+    fn kv_is_a_journaled_command() {
+        let cli = parse_args(&args(&["kv", "--journal", "j.jsonl", "--resume"])).unwrap();
         assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
         assert!(cli.resume);
-        assert_eq!(cli.bench_out.as_deref(), Some("b.json"));
         assert!(check_flag_scope(&cli).is_ok());
-        // The perf-trajectory record stays scoped: multicore has no
-        // labeled cells to contribute, so `--bench-out` stays rejected
-        // there.
-        let cli = parse_args(&args(&["multicore", "--bench-out", "b.json"])).unwrap();
+    }
+
+    #[test]
+    fn unknown_flags_are_typed_errors() {
+        // A misspelled or retired flag must not fall through as a
+        // positional word and be silently ignored.
+        for (words, flag) in [
+            (vec!["all", "--jbos", "8"], "--jbos"),
+            (vec!["profile", "LL", "base", "--trace", "t"], "--trace"),
+            (vec!["kv", "--scale", "400", "--out"], "--out"),
+            (vec!["trace", "LL", "base", "--"], "--"),
+        ] {
+            assert_eq!(
+                parse_args(&args(&words)).unwrap_err(),
+                CliError::UnknownFlag(flag.into()),
+                "{words:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn surplus_positionals_are_typed_errors() {
+        for (words, arg) in [
+            (vec!["all", "extra"], "extra"),
+            (vec!["fig8", "--scale", "400", "LL"], "LL"),
+            (vec!["kv", "x"], "x"),
+            (vec!["crashfuzz", "log", "extra"], "extra"),
+            (vec!["trace", "LL", "base", "extra"], "extra"),
+            (vec!["profile", "LL", "logpsf", "x", "y"], "x"),
+            (vec!["optimize", "LL", "logp", "extra"], "extra"),
+            (vec!["journal", "check", "j.jsonl", "extra"], "extra"),
+        ] {
+            let cli = parse_args(&args(&words)).unwrap();
+            assert_eq!(
+                check_positionals(&cli).unwrap_err(),
+                CliError::UnexpectedArg {
+                    cmd: words[0].into(),
+                    arg: arg.into(),
+                },
+                "{words:?}"
+            );
+        }
+        // Up to the command's own count is fine; too few words stay the
+        // command's own typed error.
+        for words in [
+            vec!["all"],
+            vec!["crashfuzz"],
+            vec!["crashfuzz", "log"],
+            vec!["trace", "LL", "base"],
+            vec!["profile", "LL"],
+            vec!["journal", "check", "j.jsonl"],
+        ] {
+            let cli = parse_args(&args(&words)).unwrap();
+            assert!(check_positionals(&cli).is_ok(), "{words:?}");
+        }
+        // An unknown command is reported as such, not as its words.
+        let cli = parse_args(&args(&["fig99", "extra"])).unwrap();
         assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
-            CliError::FlagUnsupported {
-                flag: "--bench-out",
-                cmd: "multicore".into(),
-            }
+            check_positionals(&cli).unwrap_err(),
+            CliError::UnknownCommand("fig99".into())
         );
+    }
+
+    #[test]
+    fn peak_rss_is_nonzero_on_linux() {
+        // On the CI/dev Linux kernels /proc/self/status always exists;
+        // elsewhere the function degrades to 0 rather than failing.
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(peak_rss_kb() > 0);
+        }
     }
 
     #[test]
@@ -1687,12 +1691,7 @@ mod tests {
 
     #[test]
     fn journal_check_wants_the_subcommand_and_a_path() {
-        for words in [
-            vec![],
-            vec!["check"],
-            vec!["check", "a", "b"],
-            vec!["verify", "a"],
-        ] {
+        for words in [vec![], vec!["check"], vec!["verify", "a"]] {
             assert_eq!(
                 journal_cmd(&args(&words)).unwrap_err(),
                 CliError::MissingJournalCheckArgs,
