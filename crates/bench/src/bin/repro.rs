@@ -73,11 +73,6 @@
 //!              may move), crash verdicts must hold, and the
 //!              forward-progress watchdog must convert a wedged run
 //!              into a typed error; exits non-zero on any divergence
-//!   soak [--iters N]  bounded endurance: loop the journaled faultsim
-//!              matrix plus the must-pass crashfuzz leg under derived
-//!              per-iteration seeds, re-verifying journal integrity
-//!              every iteration; exits non-zero on any divergence or
-//!              corrupt journal line
 //!   profile <BENCH> <VARIANT>  cycle-resolved observability: replay
 //!              one trace on the baseline and SP256 cores with the
 //!              spp-obs probe attached, print the stall-attribution
@@ -90,15 +85,14 @@
 //!   --scale N  divide Table 1's op counts by N (default 50; 1 = paper)
 //!   --seed S   RNG seed (default 0x5EED)
 //!   --jobs J   worker threads (default: all cores; 1 = serial)
-//!   --journal [PATH]  (faultsim/soak/profile/multicore/litmus/kv/
-//!              optimize) record completed cells
+//!   --journal [PATH]  (faultsim/profile/multicore/litmus/kv/optimize)
+//!              record completed cells
 //!              into the journaled result manifest at PATH (default:
 //!              `.specpersist/journal-v1.jsonl`); a fresh run requires
 //!              a fresh path
 //!   --resume   (with --journal) replay verified cells from an existing
 //!              journal instead of recomputing them; the resumed stdout
 //!              is byte-identical to an uninterrupted run's
-//!   --iters N  (soak) iteration count (default 4)
 //!   --storm-bound N  (multicore) conflict-storm rollback budget per
 //!              trace position before a core degrades to a typed
 //!              ConflictStorm error (default 64; must be at least 1 —
@@ -111,7 +105,7 @@
 //!              proving the harness would catch a real model violation
 //!   --trace-out PATH  (profile) write the merged Chrome trace_event
 //!              document to PATH (loadable in Perfetto or
-//!              chrome://tracing)
+//!              chrome://tracing); a write failure exits non-zero
 //!   --trace-mem-cap BYTES  cap the bytes of recorded traces the
 //!              harness may hold resident; a run that trips the cap
 //!              fails with a typed one-line error (never an OOM kill)
@@ -137,9 +131,12 @@ use std::time::Instant;
 use spp_bench::litmus::ModelKnob;
 use spp_bench::report;
 use spp_bench::study::{staged, StudyCli, StudyError, StudyRunner};
+use spp_bench::supervisor::MAX_ATTEMPTS;
 use spp_bench::{Experiment, Harness};
+use spp_pmem::Variant;
+use spp_workloads::BenchId;
 
-const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
+const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--storm-bound N] [--trace-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
 
 /// A rejected invocation: every variant renders as one line, and every
 /// variant exits non-zero. Parsing never panics on user input.
@@ -160,20 +157,15 @@ enum CliError {
         given: String,
         want: &'static str,
     },
-    /// `repro trace` needs a benchmark and a variant.
-    MissingTraceArgs,
-    /// `repro profile` needs a benchmark and a variant.
-    MissingProfileArgs,
-    /// `repro optimize` needs a benchmark and a variant.
-    MissingOptimizeArgs,
+    /// `repro trace|profile|optimize` needs a benchmark and a variant.
+    MissingBenchVariant { cmd: &'static str },
     /// The benchmark abbreviation is not in Table 1.
     UnknownBench(String),
     /// The build-variant name is not one of the four builds.
     UnknownVariant(String),
     /// The crashfuzz leg name is not a known slice of the matrix.
     UnknownLeg(String),
-    /// `--journal`/`--resume`/`--iters` given to a command that has no
-    /// journal support.
+    /// A flag given to a command that does not take it.
     FlagUnsupported { flag: &'static str, cmd: String },
     /// `--resume` without `--journal`.
     ResumeNeedsJournal,
@@ -191,6 +183,11 @@ enum CliError {
     /// The trace cache grew past `--trace-mem-cap` (the wrapped
     /// [`spp_bench::TraceMemCap`] rendering).
     TraceMemCap(String),
+    /// `--trace-out` could not be written.
+    TraceOut { path: String, reason: String },
+    /// A study's only cell exhausted its retries (the wrapped
+    /// [`spp_bench::CellFailure`] reason).
+    CellFailed { key: String, reason: String },
 }
 
 impl fmt::Display for CliError {
@@ -205,14 +202,11 @@ impl fmt::Display for CliError {
             CliError::BadValue { flag, given, want } => {
                 write!(f, "{flag} {given:?} is invalid (want {want})")
             }
-            CliError::MissingTraceArgs => {
-                f.write_str("trace needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>")
-            }
-            CliError::MissingProfileArgs => {
-                f.write_str("profile needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>")
-            }
-            CliError::MissingOptimizeArgs => {
-                f.write_str("optimize needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>")
+            CliError::MissingBenchVariant { cmd } => {
+                write!(
+                    f,
+                    "{cmd} needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>"
+                )
             }
             CliError::UnknownBench(b) => {
                 write!(f, "unknown benchmark {b:?} (want GH|HM|LL|SS|AT|BT|RT)")
@@ -224,7 +218,7 @@ impl fmt::Display for CliError {
                 write!(f, "unknown crashfuzz leg {l:?} (want all|log|logp|logpsf)")
             }
             CliError::FlagUnsupported { flag, cmd } => {
-                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, profile, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --trace-mem-cap: any trace-recording command)")
+                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, profile, multicore, litmus, kv, optimize; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --trace-mem-cap: any trace-recording command)")
             }
             CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
             CliError::ResumeMissingJournal(p) => {
@@ -239,6 +233,13 @@ impl fmt::Display for CliError {
             CliError::Journal(e) => f.write_str(e),
             CliError::MissingJournalCheckArgs => f.write_str("journal needs check <PATH>"),
             CliError::TraceMemCap(e) => f.write_str(e),
+            CliError::TraceOut { path, reason } => write!(f, "--trace-out {path:?}: {reason}"),
+            CliError::CellFailed { key, reason } => {
+                write!(
+                    f,
+                    "cell {key} failed after {MAX_ATTEMPTS} attempts: {reason}"
+                )
+            }
         }
     }
 }
@@ -251,7 +252,6 @@ struct Cli {
     jobs: usize,
     journal: Option<String>,
     resume: bool,
-    iters: Option<u64>,
     storm_bound: Option<u64>,
     model_knob: Option<ModelKnob>,
     trace_out: Option<String>,
@@ -270,7 +270,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut journal: Option<String> = None;
     let mut resume = false;
-    let mut iters: Option<u64> = None;
     let mut storm_bound: Option<u64> = None;
     let mut model_knob: Option<ModelKnob> = None;
     let mut trace_out: Option<String> = None;
@@ -343,16 +342,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                     })
                 }
             },
-            "--iters" => {
-                iters = Some(flag_value(
-                    "--iters",
-                    args,
-                    i,
-                    1,
-                    "an integer of at least 1",
-                )?);
-                i += 2;
-            }
             "--storm-bound" => {
                 // A zero budget would degrade a core on its first
                 // legitimate conflict rollback, so the floor is 1.
@@ -399,7 +388,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         jobs,
         journal,
         resume,
-        iters,
         storm_bound,
         model_knob,
         trace_out,
@@ -413,7 +401,7 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
 fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
     let journaled = matches!(
         cli.cmd.as_str(),
-        "faultsim" | "soak" | "profile" | "multicore" | "litmus" | "kv" | "optimize"
+        "faultsim" | "profile" | "multicore" | "litmus" | "kv" | "optimize"
     );
     if cli.journal.is_some() && !journaled {
         return Err(CliError::FlagUnsupported {
@@ -424,12 +412,6 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
     if cli.resume && !journaled {
         return Err(CliError::FlagUnsupported {
             flag: "--resume",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    if cli.iters.is_some() && cli.cmd != "soak" {
-        return Err(CliError::FlagUnsupported {
-            flag: "--iters",
             cmd: cli.cmd.clone(),
         });
     }
@@ -451,10 +433,10 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
             cmd: cli.cmd.clone(),
         });
     }
-    // `trace` replays one recording to stdout, `soak` spawns child
-    // processes, and `journal` never simulates: none of them route
-    // traces through the harness cache the cap governs.
-    if cli.trace_mem_cap.is_some() && matches!(cli.cmd.as_str(), "trace" | "soak" | "journal") {
+    // `trace` replays one recording to stdout and `journal` never
+    // simulates: neither routes traces through the harness cache the
+    // cap governs.
+    if cli.trace_mem_cap.is_some() && matches!(cli.cmd.as_str(), "trace" | "journal") {
         return Err(CliError::FlagUnsupported {
             flag: "--trace-mem-cap",
             cmd: cli.cmd.clone(),
@@ -475,7 +457,7 @@ fn check_positionals(cli: &Cli) -> Result<(), CliError> {
         "crashfuzz" => 1,
         "all" | "table1" | "table2" | "table3" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12"
         | "fig13" | "fig14" | "ablation" | "incremental" | "flushmode" | "json" | "multicore"
-        | "litmus" | "kv" | "faultsim" | "soak" => 0,
+        | "litmus" | "kv" | "faultsim" => 0,
         _ => return Err(CliError::UnknownCommand(cli.cmd.clone())),
     };
     match cli.positional.get(takes) {
@@ -497,13 +479,6 @@ impl From<StudyError> for CliError {
             other => CliError::Journal(other.to_string()),
         }
     }
-}
-
-/// Opens the journal at `path` under the study façade's resume
-/// discipline (see [`spp_bench::study::open_journal`]), mapping the
-/// typed failure onto the CLI's own diagnostics.
-fn open_journal(path: &std::path::Path, resume: bool) -> Result<spp_bench::Journal, CliError> {
-    spp_bench::study::open_journal(path, resume).map_err(CliError::from)
 }
 
 /// The report verdict as an exit status.
@@ -550,7 +525,6 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
         jobs,
         journal,
         resume,
-        iters,
         storm_bound,
         model_knob,
         trace_out,
@@ -685,7 +659,6 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
             let code = faultsim_cmd(&harness, &study)?;
             return check_trace_mem(&harness, code);
         }
-        "soak" => return soak_cmd(&exp, jobs, iters, &study),
         "profile" => {
             let code = profile_cmd(&harness, &positional, &study, trace_out.as_deref())?;
             return check_trace_mem(&harness, code);
@@ -725,7 +698,7 @@ fn check_trace_mem(harness: &Harness, code: ExitCode) -> Result<ExitCode, CliErr
 fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
     use spp_bench::kv::{run_kv_opts, KvCellSpec};
     let runner = StudyRunner::new("kv", KvCellSpec::all().len(), study)?;
-    Ok(verdict(runner.run(|j| run_kv_opts(harness, j))))
+    Ok(verdict(runner.run(|j| run_kv_opts(harness, j)).ok()))
 }
 
 /// `repro optimize <BENCH> <VARIANT> [--journal PATH [--resume]]`:
@@ -744,20 +717,12 @@ fn optimize_cmd(
     study: &StudyCli,
 ) -> Result<ExitCode, CliError> {
     use spp_bench::optimize::{run_optimize_opts, OptimizeCellSpec};
-    use spp_workloads::BenchId;
-    let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
-        return Err(CliError::MissingOptimizeArgs);
-    };
-    let id = BenchId::ALL
-        .iter()
-        .copied()
-        .find(|b| b.abbrev().eq_ignore_ascii_case(bench))
-        .ok_or_else(|| CliError::UnknownBench(bench.clone()))?;
-    let variant = spp_bench::parse_variant(variant)
-        .ok_or_else(|| CliError::UnknownVariant(variant.clone()))?;
+    let (id, variant) = bench_variant("optimize", positional)?;
     let runner = StudyRunner::new("optimize", OptimizeCellSpec::all().len(), study)?;
     Ok(verdict(
-        runner.run(|j| run_optimize_opts(harness, id, variant, j)),
+        runner
+            .run(|j| run_optimize_opts(harness, id, variant, j))
+            .ok(),
     ))
 }
 
@@ -834,7 +799,7 @@ fn crashfuzz_cmd(harness: &Harness, positional: &[String]) -> Result<ExitCode, C
 fn faultsim_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
     use spp_bench::faultsim::{run_faultsim_opts, FaultsimOpts};
     let runner = StudyRunner::new("faultsim", 7 * 4 * 2 * 3 + 1, study)?;
-    Ok(verdict(runner.run(|j| {
+    let rep = runner.run(|j| {
         run_faultsim_opts(
             harness,
             FaultsimOpts {
@@ -842,7 +807,8 @@ fn faultsim_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliErro
                 ..FaultsimOpts::default()
             },
         )
-    })))
+    });
+    Ok(verdict(rep.ok()))
 }
 
 /// `repro multicore [--journal PATH [--resume]]`: the shared-data
@@ -861,7 +827,7 @@ fn multicore_cmd(
 ) -> Result<ExitCode, CliError> {
     use spp_bench::multicore::{run_multicore_opts, MulticoreOpts};
     let runner = StudyRunner::new("multicore", 24, study)?;
-    Ok(verdict(runner.run(|j| {
+    let rep = runner.run(|j| {
         run_multicore_opts(
             harness,
             MulticoreOpts {
@@ -869,7 +835,8 @@ fn multicore_cmd(
                 storm_bound,
             },
         )
-    })))
+    });
+    Ok(verdict(rep.ok()))
 }
 
 /// `repro litmus [--journal PATH [--resume]] [--model-knob K]`: Px86
@@ -890,7 +857,7 @@ fn litmus_cmd(
     use spp_bench::litmus::{litmus_programs, run_litmus_opts, LitmusOpts};
     let sims = litmus_programs(&harness.exp).len() * 3;
     let runner = StudyRunner::new("litmus", sims, study)?;
-    Ok(verdict(runner.run(|j| {
+    let rep = runner.run(|j| {
         run_litmus_opts(
             harness,
             LitmusOpts {
@@ -898,48 +865,8 @@ fn litmus_cmd(
                 knob: model_knob.unwrap_or_default(),
             },
         )
-    })))
-}
-
-/// `repro soak [--iters N] [--journal PATH [--resume]]`: bounded
-/// endurance over the journaled faultsim matrix plus the must-pass
-/// crashfuzz leg, with per-iteration journal re-verification. Without
-/// `--journal` the manifest lives in a pid-suffixed temp file that is
-/// removed on success. Exits non-zero on any divergence, degraded
-/// cell, or corrupt journal line.
-fn soak_cmd(
-    exp: &Experiment,
-    jobs: usize,
-    iters: Option<u64>,
-    study: &StudyCli,
-) -> Result<ExitCode, CliError> {
-    use spp_bench::soak::{run_soak, DEFAULT_SOAK_ITERS};
-    let iters = iters.unwrap_or(DEFAULT_SOAK_ITERS);
-    let (path, is_temp) = match study.journal.as_deref() {
-        Some(p) => (std::path::PathBuf::from(p), false),
-        None => {
-            let p =
-                std::env::temp_dir().join(format!("spp-soak-journal-{}.jsonl", std::process::id()));
-            let _ = std::fs::remove_file(&p);
-            (p, true)
-        }
-    };
-    let j = open_journal(&path, study.resume)?;
-    let rep = staged("soak", 0, || run_soak(exp, jobs, iters, &j));
-    for e in j.corrupt() {
-        eprintln!("repro: journal: {e}");
-    }
-    eprintln!("# journal {}", j.path().display());
-    print!("{}", rep.render_text());
-    println!("{}", rep.render_json());
-    if rep.ok() {
-        if is_temp {
-            let _ = std::fs::remove_file(&path);
-        }
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::FAILURE)
-    }
+    });
+    Ok(verdict(rep.ok()))
 }
 
 /// `repro profile <BENCH> <VARIANT> [--trace-out PATH] [--journal PATH
@@ -949,123 +876,48 @@ fn soak_cmd(
 /// merged Chrome trace. With a journal the completed cell is recorded
 /// (text, JSON and trace all in the payload) and `--resume` replays it
 /// byte-identically. Exits non-zero if the probe's attribution diverges
-/// from the machine's stall counters.
+/// from the machine's stall counters; a trace that cannot be written
+/// or a cell that exhausts its retries is a typed error.
 fn profile_cmd(
     harness: &Harness,
     positional: &[String],
     study: &StudyCli,
     trace_out: Option<&str>,
 ) -> Result<ExitCode, CliError> {
-    use spp_bench::journal::{CellStatus, Entry};
-    use spp_bench::json::{parse, Value};
-    use spp_bench::profile::run_profile;
-    use spp_workloads::BenchId;
+    use spp_bench::profile::run_profile_study;
+    let (id, variant) = bench_variant("profile", positional)?;
+    let runner = StudyRunner::new("profile", 2, study)?;
+    let rep = runner.run(|j| run_profile_study(harness, id, variant, j));
+    let cell = rep.cell.map_err(|f| CliError::CellFailed {
+        key: f.key,
+        reason: f.reason,
+    })?;
+    if let Some(path) = trace_out {
+        std::fs::write(path, &cell.trace).map_err(|e| CliError::TraceOut {
+            path: path.to_string(),
+            reason: e.to_string(),
+        })?;
+        eprintln!("# chrome trace: {path} ({} bytes)", cell.trace.len());
+    }
+    Ok(verdict(cell.ok))
+}
 
+/// The `<BENCH> <VARIANT>` words of `trace`, `profile` and `optimize`.
+fn bench_variant(cmd: &'static str, positional: &[String]) -> Result<(BenchId, Variant), CliError> {
     let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
-        return Err(CliError::MissingProfileArgs);
+        return Err(CliError::MissingBenchVariant { cmd });
     };
-    let id = BenchId::ALL
-        .iter()
-        .copied()
-        .find(|b| b.abbrev().eq_ignore_ascii_case(bench))
-        .ok_or_else(|| CliError::UnknownBench(bench.clone()))?;
+    let id = spp_bench::parse_bench(bench).ok_or_else(|| CliError::UnknownBench(bench.clone()))?;
     let variant = spp_bench::parse_variant(variant)
         .ok_or_else(|| CliError::UnknownVariant(variant.clone()))?;
-
-    let runner = StudyRunner::new("profile", 2, study)?;
-    let j = runner.journal();
-    let key = format!(
-        "profile/{}/{}/scale{}/seed{:#x}",
-        id.abbrev(),
-        spp_bench::variant_key(variant),
-        harness.exp.scale,
-        harness.exp.seed
-    );
-    let write_trace = |trace: &str| {
-        if let Some(path) = trace_out {
-            match std::fs::write(path, trace) {
-                Ok(()) => eprintln!("# chrome trace: {path} ({} bytes)", trace.len()),
-                Err(e) => eprintln!("repro: --trace-out {path:?}: {e}"),
-            }
-        }
-    };
-
-    // A verified journal entry replays the whole cell: stdout and the
-    // exported trace are byte-identical to the original run's.
-    if let Some(j) = j {
-        if let Some(entry) = j.lookup(&key) {
-            let decoded = parse(&entry.payload).ok().and_then(|v| {
-                let field = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
-                Some((
-                    v.get("ok").and_then(Value::as_u64)?,
-                    field("text")?,
-                    field("json")?,
-                    field("trace")?,
-                ))
-            });
-            match decoded {
-                Some((ok, text, json, trace)) => {
-                    eprintln!("# journal {}: profile cell replayed", j.path().display());
-                    print!("{text}");
-                    println!("{json}");
-                    write_trace(&trace);
-                    return Ok(if ok == 1 {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    });
-                }
-                None => j.report_bad_payload(&key, "profile payload does not decode"),
-            }
-        }
-    }
-
-    let rep = runner.stage(|| run_profile(harness, id, variant));
-    let text = rep.render_text();
-    let json = rep.render_json();
-    let trace = rep.chrome_trace();
-    runner.report_corrupt();
-    if let Some(j) = j {
-        let mut payload = spp_bench::json::JsonObject::new();
-        payload
-            .num("ok", u8::from(rep.ok()))
-            .str("text", &text)
-            .str("json", &json)
-            .str("trace", &trace);
-        let entry = Entry {
-            key,
-            attempt: 1,
-            status: CellStatus::Ok,
-            payload: payload.render(),
-        };
-        if let Err(e) = j.append(&entry) {
-            eprintln!("repro: journal: {e}");
-        }
-    }
-    print!("{text}");
-    println!("{json}");
-    write_trace(&trace);
-    Ok(if rep.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok((id, variant))
 }
 
 /// `repro trace <BENCH> <VARIANT>`: record one trace and print its
 /// micro-op mix and per-operation averages.
 fn trace_cmd(positional: &[String], exp: &Experiment) -> Result<(), CliError> {
-    use spp_workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
-    let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
-        return Err(CliError::MissingTraceArgs);
-    };
-    let id = BenchId::ALL
-        .iter()
-        .copied()
-        .find(|b| b.abbrev().eq_ignore_ascii_case(bench))
-        .ok_or_else(|| CliError::UnknownBench(bench.clone()))?;
-    let variant = spp_bench::parse_variant(variant)
-        .ok_or_else(|| CliError::UnknownVariant(variant.clone()))?;
+    use spp_workloads::{run_benchmark, BenchSpec, RunConfig};
+    let (id, variant) = bench_variant("trace", positional)?;
     let spec = BenchSpec::scaled(id, exp.scale);
     let out = run_benchmark(&RunConfig {
         variant,
@@ -1198,9 +1050,9 @@ mod tests {
                 given: "-2".into(),
                 want: "an integer of at least 1",
             },
-            CliError::MissingTraceArgs,
-            CliError::MissingProfileArgs,
-            CliError::MissingOptimizeArgs,
+            CliError::MissingBenchVariant { cmd: "trace" },
+            CliError::MissingBenchVariant { cmd: "profile" },
+            CliError::MissingBenchVariant { cmd: "optimize" },
             CliError::UnknownBench("ZZ".into()),
             CliError::UnknownVariant("fast".into()),
             CliError::UnknownLeg("base".into()),
@@ -1214,6 +1066,14 @@ mod tests {
             CliError::Journal("journal \"x\": denied".into()),
             CliError::MissingJournalCheckArgs,
             CliError::TraceMemCap("trace cache holds 9 bytes, exceeding --trace-mem-cap 1".into()),
+            CliError::TraceOut {
+                path: "/nonexistent/t.json".into(),
+                reason: "No such file or directory (os error 2)".into(),
+            },
+            CliError::CellFailed {
+                key: "profile/LL/logpsf/scale400/seed0x1".into(),
+                reason: "panic: boom".into(),
+            },
         ];
         for e in errors {
             let s = e.to_string();
@@ -1234,9 +1094,6 @@ mod tests {
         .unwrap();
         assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
         assert!(cli.resume);
-        assert!(check_flag_scope(&cli).is_ok());
-        let cli = parse_args(&args(&["soak", "--iters", "3"])).unwrap();
-        assert_eq!(cli.iters, Some(3));
         assert!(check_flag_scope(&cli).is_ok());
     }
 
@@ -1324,7 +1181,6 @@ mod tests {
         for (words, flag) in [
             (vec!["all", "--journal", "j.jsonl"], "--journal"),
             (vec!["fig8", "--resume"], "--resume"),
-            (vec!["faultsim", "--iters", "2"], "--iters"),
         ] {
             let cli = parse_args(&args(&words)).unwrap();
             assert_eq!(
@@ -1365,17 +1221,6 @@ mod tests {
             ),
             "{e:?}"
         );
-        let e = parse_args(&args(&["soak", "--iters", "0"])).unwrap_err();
-        assert!(
-            matches!(
-                e,
-                CliError::BadValue {
-                    flag: "--iters",
-                    ..
-                }
-            ),
-            "{e:?}"
-        );
     }
 
     #[test]
@@ -1386,22 +1231,30 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&p);
+        let open_journal = |resume| {
+            StudyCli {
+                journal: Some(p.display().to_string()),
+                resume,
+            }
+            .open()
+            .map_err(CliError::from)
+        };
         // Resuming a journal that does not exist is a typed error.
         assert!(matches!(
-            open_journal(&p, true).unwrap_err(),
+            open_journal(true).unwrap_err(),
             CliError::ResumeMissingJournal(_)
         ));
         // A fresh run against a fresh path opens (and creates) it.
-        open_journal(&p, false).unwrap();
+        open_journal(false).unwrap();
         // A fresh run against an existing non-empty journal must not
         // silently mix campaigns.
         std::fs::write(&p, "x\n").unwrap();
         assert!(matches!(
-            open_journal(&p, false).unwrap_err(),
+            open_journal(false).unwrap_err(),
             CliError::JournalNeedsResume(_)
         ));
         // Resuming it is fine (the bogus line surfaces via corrupt()).
-        let j = open_journal(&p, true).unwrap();
+        let j = open_journal(true).unwrap().unwrap();
         assert_eq!(j.corrupt().len(), 1);
         std::fs::remove_file(&p).unwrap();
     }
@@ -1419,7 +1272,7 @@ mod tests {
         );
         assert_eq!(
             trace_cmd(&args(&["LL"]), &exp).unwrap_err(),
-            CliError::MissingTraceArgs
+            CliError::MissingBenchVariant { cmd: "trace" }
         );
     }
 
@@ -1485,7 +1338,7 @@ mod tests {
         );
         assert_eq!(
             profile_cmd(&h, &args(&["LL"]), &study, None).unwrap_err(),
-            CliError::MissingProfileArgs
+            CliError::MissingBenchVariant { cmd: "profile" }
         );
     }
 
@@ -1503,7 +1356,7 @@ mod tests {
         );
         assert_eq!(
             optimize_cmd(&h, &args(&["LL"]), &study).unwrap_err(),
-            CliError::MissingOptimizeArgs
+            CliError::MissingBenchVariant { cmd: "optimize" }
         );
     }
 
@@ -1614,11 +1467,13 @@ mod tests {
             assert!(check_positionals(&cli).is_ok(), "{words:?}");
         }
         // An unknown command is reported as such, not as its words.
-        let cli = parse_args(&args(&["fig99", "extra"])).unwrap();
-        assert_eq!(
-            check_positionals(&cli).unwrap_err(),
-            CliError::UnknownCommand("fig99".into())
-        );
+        for cmd in ["fig99", "soak"] {
+            let cli = parse_args(&args(&[cmd, "extra"])).unwrap();
+            assert_eq!(
+                check_positionals(&cli).unwrap_err(),
+                CliError::UnknownCommand(cmd.into())
+            );
+        }
     }
 
     #[test]
@@ -1652,7 +1507,7 @@ mod tests {
         }
         // Commands that never route traces through the harness cache
         // reject the cap instead of silently ignoring it.
-        for cmd in ["trace", "soak", "journal"] {
+        for cmd in ["trace", "journal"] {
             let cli = parse_args(&args(&[cmd, "--trace-mem-cap", "4096"])).unwrap();
             assert_eq!(
                 check_flag_scope(&cli).unwrap_err(),
@@ -1708,7 +1563,7 @@ mod tests {
 
     #[test]
     fn journal_check_verifies_flags_truncation_and_bit_flips() {
-        use spp_bench::journal::{CellStatus, Entry, Journal};
+        use spp_bench::{Journal, Supervisor};
         let mut p = std::env::temp_dir();
         p.push(format!(
             "spp-repro-journal-check-{}.jsonl",
@@ -1716,15 +1571,17 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&p);
         let j = Journal::open(&p).unwrap();
-        for k in ["kv/a", "kv/b", "kv/c"] {
-            j.append(&Entry {
-                key: k.to_string(),
-                attempt: 1,
-                status: CellStatus::Ok,
-                payload: "{\"ok\":1}".to_string(),
-            })
-            .unwrap();
+        Supervisor {
+            jobs: 1,
+            journal: Some(&j),
         }
+        .run_cells(
+            &["kv/a", "kv/b", "kv/c"],
+            |_, k| k.to_string(),
+            |_, _| Ok(()),
+            |_| "{\"ok\":1}".to_string(),
+            |_, _| Some(()),
+        );
         drop(j);
         let path = p.display().to_string();
         // Pristine: every line verifies.

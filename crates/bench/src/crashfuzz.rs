@@ -459,7 +459,7 @@ impl FuzzReport {
         });
         crate::schema::emit(crate::schema::CRASHFUZZ, |root| {
             root.num("scale", self.exp.scale as f64)
-                .num("seed", self.exp.seed as f64)
+                .raw("seed", self.exp.seed.to_string())
                 .num("seeds_per_point", self.seeds_per_point as f64)
                 .num("ok", u8::from(self.ok()))
                 .raw("cells", array(cells))

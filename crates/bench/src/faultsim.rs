@@ -56,7 +56,7 @@ use spp_workloads::BenchId;
 use crate::crashfuzz::{crash_points, fuzz_bundle_spec, minimal_witness, SEEDS_PER_POINT};
 use crate::json::{array, parse, JsonObject, Value};
 use crate::supervisor::{CellError, CellFailure, Supervisor};
-use crate::{variant_key, Harness, Journal, TraceKey};
+use crate::{parse_bench, parse_variant, variant_key, Harness, Journal, TraceKey};
 
 /// The build variants swept by `repro faultsim` (all four: even the
 /// un-instrumented `Base` build must be timing-invariant under NVMM
@@ -158,15 +158,13 @@ pub struct FaultReport {
     pub watchdog: WatchdogReport,
 }
 
-/// Options for [`run_faultsim_opts`]: journal attachment, retry
-/// budget, and the fault-injection hook the supervision tests use.
+/// Options for [`run_faultsim_opts`]: journal attachment and the
+/// fault-injection hook the supervision tests use.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultsimOpts<'j> {
     /// Replay completed pairs from (and record new ones into) this
     /// journal.
     pub journal: Option<&'j Journal>,
-    /// Total attempts per pair; 0 means the supervisor default.
-    pub max_attempts: u32,
     /// Fault-injection hook: panic inside this pair's cell on every
     /// attempt, demonstrating retry exhaustion and per-cell
     /// degradation without touching the simulator.
@@ -380,14 +378,6 @@ enum CellValue {
     Watchdog(WatchdogReport),
 }
 
-fn bench_from_abbrev(s: &str) -> Option<BenchId> {
-    BenchId::ALL.iter().copied().find(|b| b.abbrev() == s)
-}
-
-fn variant_from_key(s: &str) -> Option<Variant> {
-    VARIANTS.iter().copied().find(|&v| variant_key(v) == s)
-}
-
 /// Maps a decoded plan name back onto the interned `&'static str` the
 /// in-process runner produces, so replayed reports are byte-identical.
 fn plan_from_name(s: &str) -> Option<&'static str> {
@@ -428,8 +418,8 @@ fn cell_json(c: &Cell) -> String {
 
 fn decode_cell(v: &Value) -> Option<Cell> {
     Some(Cell {
-        id: bench_from_abbrev(v.get("bench")?.as_str()?)?,
-        variant: variant_from_key(v.get("variant")?.as_str()?)?,
+        id: parse_bench(v.get("bench")?.as_str()?)?,
+        variant: parse_variant(v.get("variant")?.as_str()?)?,
         plan: plan_from_name(v.get("plan")?.as_str()?)?,
         base_cycles: v.get("base_cycles")?.as_u64()?,
         base_cycles_faulted: v.get("base_cycles_faulted")?.as_u64()?,
@@ -478,7 +468,7 @@ fn decode_cell_value(payload: &str) -> Option<CellValue> {
     }
     let w = v.get("watchdog")?;
     Some(CellValue::Watchdog(WatchdogReport {
-        id: bench_from_abbrev(w.get("bench")?.as_str()?)?,
+        id: parse_bench(w.get("bench")?.as_str()?)?,
         bound: w.get("bound")?.as_u64()?,
         fired: w.get("fired")?.as_u64()? != 0,
         cycle: w.get("cycle")?.as_u64()?,
@@ -505,11 +495,6 @@ pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
     tasks.push(CellTask::Watchdog);
     let sup = Supervisor {
         jobs: h.jobs,
-        max_attempts: if opts.max_attempts == 0 {
-            crate::supervisor::MAX_ATTEMPTS
-        } else {
-            opts.max_attempts
-        },
         journal: opts.journal,
     };
     let outcomes = sup.run_cells(
@@ -523,7 +508,7 @@ pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
             CellTask::Watchdog => Ok(CellValue::Watchdog(watchdog_leg(h))),
         },
         encode_cell_value,
-        decode_cell_value,
+        |_, payload| decode_cell_value(payload),
     );
     let mut cells = Vec::new();
     let mut failures = Vec::new();
@@ -561,8 +546,8 @@ pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
     }
 }
 
-/// Runs the faultsim matrix with default supervision (no journal, the
-/// default retry budget, no injected faults).
+/// Runs the faultsim matrix with default supervision (no journal, no
+/// injected faults).
 pub fn run_faultsim(h: &Harness) -> FaultReport {
     run_faultsim_opts(h, FaultsimOpts::default())
 }
@@ -686,12 +671,12 @@ impl FaultReport {
     pub fn render_json(&self) -> String {
         let plan_list = plans(self.exp.seed).into_iter().map(|(name, spec)| {
             let mut o = JsonObject::new();
-            o.str("name", name).num("seed", spec.seed as f64);
+            o.str("name", name).raw("seed", spec.seed.to_string());
             o.render()
         });
         crate::schema::emit(crate::schema::FAULTSIM, |root| {
             root.num("scale", self.exp.scale as f64)
-                .num("seed", self.exp.seed as f64)
+                .raw("seed", self.exp.seed.to_string())
                 .num("ok", u8::from(self.ok()))
                 .raw("plans", array(plan_list))
                 .raw("cells", array(self.cells.iter().map(cell_json)))
@@ -705,6 +690,7 @@ impl FaultReport {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::supervisor::MAX_ATTEMPTS;
     use crate::Experiment;
 
     fn smoke_harness(jobs: usize) -> Harness {
@@ -796,7 +782,6 @@ mod tests {
             &h,
             FaultsimOpts {
                 inject_panic: Some((BenchId::LinkedList, Variant::Log)),
-                max_attempts: 2,
                 ..FaultsimOpts::default()
             },
         );
@@ -813,11 +798,11 @@ mod tests {
             "{}",
             f.key
         );
-        assert_eq!(f.attempts, 2, "retry budget consumed");
+        assert_eq!(f.attempts, MAX_ATTEMPTS, "retry budget consumed");
         assert!(f.reason.contains("injected pair fault"), "{}", f.reason);
         assert!(!rep.ok(), "a degraded pair must fail the report");
         let text = rep.render_text();
-        assert!(text.contains("FAILED after 2 attempts"), "{text}");
+        assert!(text.contains("FAILED after 3 attempts"), "{text}");
         assert!(text.contains("faultsim: FAIL"), "{text}");
         let json = rep.render_json();
         assert!(json.contains("injected pair fault"), "{json}");

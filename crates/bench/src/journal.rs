@@ -436,8 +436,8 @@ impl Journal {
     }
 
     /// Re-reads the file from disk and verifies every line, returning
-    /// `(verified entries, corrupt lines)` — the integrity check
-    /// `repro soak` runs between iterations.
+    /// `(verified entries, corrupt lines)` — the walk behind
+    /// `repro journal check`.
     pub fn verify(path: impl AsRef<Path>) -> Result<(usize, Vec<JournalError>), JournalError> {
         let j = Journal::open(path)?;
         Ok((j.len(), j.loaded.corrupt))

@@ -35,7 +35,8 @@ use crate::journal::Journal;
 use crate::json::{self, parse, JsonObject, Value};
 use crate::schema;
 use crate::stream::{run_kv_streamed, KvStreamSpec};
-use crate::study::{journaled_cells, CellCodec, CellWitness};
+use crate::study::CellWitness;
+use crate::supervisor::{settle, Supervisor};
 use crate::Harness;
 
 /// Checkpoint intervals the perf leg sweeps (WAL records between COW
@@ -503,15 +504,21 @@ fn decode_cell(spec: &KvCellSpec, payload: &str) -> Option<KvCell> {
 pub fn run_kv_opts(h: &Harness, journal: Option<&Journal>) -> KvReport {
     let scale = h.exp.scale;
     let seed = h.exp.seed;
-    let codec = CellCodec {
-        study: "kv",
-        key: &|spec| cell_key(spec, scale, seed),
-        decode: decode_cell,
-        encode: cell_json,
-        ok: |c| c.ok,
-    };
-    let (cells, replayed) = journaled_cells(h.jobs, journal, &KvCellSpec::all(), &codec, |spec| {
-        run_cell(h, spec)
+    let specs = KvCellSpec::all();
+    let outcomes = Supervisor {
+        jobs: h.jobs,
+        journal,
+    }
+    .run_cells(
+        &specs,
+        |_, spec| cell_key(spec, scale, seed),
+        |_, spec| Ok(run_cell(h, spec)),
+        cell_json,
+        decode_cell,
+    );
+    let (cells, replayed) = settle(&specs, outcomes, |spec, f| KvCell {
+        error: Some(f.reason),
+        ..KvCell::empty(*spec)
     });
     KvReport {
         scale,

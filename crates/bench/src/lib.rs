@@ -44,7 +44,6 @@ pub mod parallel;
 pub mod profile;
 pub mod report;
 pub mod schema;
-pub mod soak;
 pub mod source;
 pub mod stream;
 pub mod study;
@@ -92,6 +91,15 @@ pub fn parse_variant(s: &str) -> Option<Variant> {
         "logpsf" | "log+p+sf" => Some(Variant::LogPSf),
         _ => None,
     }
+}
+
+/// Parses a Table 1 benchmark abbreviation (`GH`, `LL`, ...;
+/// case-insensitive) back to its [`BenchId`].
+pub fn parse_bench(s: &str) -> Option<BenchId> {
+    BenchId::ALL
+        .iter()
+        .copied()
+        .find(|b| b.abbrev().eq_ignore_ascii_case(s))
 }
 
 /// Harness-wide parameters.

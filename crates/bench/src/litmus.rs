@@ -230,9 +230,9 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
     let items: Vec<(usize, FlushMode)> = (0..programs.len())
         .flat_map(|pi| FlushMode::ALL.iter().map(move |&m| (pi, m)))
         .collect();
-    let sup = match opts.journal {
-        Some(j) => Supervisor::with_journal(h.jobs, j),
-        None => Supervisor::new(h.jobs),
+    let sup = Supervisor {
+        jobs: h.jobs,
+        journal: opts.journal,
     };
     let outs = sup.run_cells(
         &items,
@@ -252,7 +252,7 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
             }
         },
         cell_json,
-        decode_cell,
+        |_, payload| decode_cell(payload),
     );
     let mut replayed = 0;
     let cells = outs
@@ -376,7 +376,7 @@ impl LitmusReport {
             .filter_map(|r| r.failure.as_ref().map(CellFailure::to_json));
         schema::emit(schema::LITMUS, |root| {
             root.num("scale", self.scale as f64)
-                .num("seed", self.seed as f64)
+                .raw("seed", self.seed.to_string())
                 .str("knob", self.knob.key())
                 .num("programs", self.programs as f64)
                 .num("ok", u8::from(self.ok()))

@@ -25,7 +25,7 @@ use spp_workloads::{shared_trace, SharedKind, SharedSpec};
 use crate::journal::Journal;
 use crate::json::{self, parse, JsonObject, Value};
 use crate::schema;
-use crate::study::{journaled_cells, CellCodec};
+use crate::supervisor::{settle, Supervisor};
 use crate::Harness;
 
 /// Core counts the study sweeps.
@@ -112,6 +112,23 @@ pub struct MulticoreCell {
     pub error: Option<String>,
 }
 
+impl MulticoreCell {
+    fn empty(spec: CellSpec, ops_per_core: u64) -> Self {
+        MulticoreCell {
+            spec,
+            ok: false,
+            ops_per_core,
+            worst_cycles_per_op: 0,
+            conflicts: 0,
+            rollbacks: 0,
+            snoops: 0,
+            blt_high_water: 0,
+            blt_clears: 0,
+            error: None,
+        }
+    }
+}
+
 /// The study's full result set.
 #[derive(Debug, Clone)]
 pub struct MulticoreReport {
@@ -189,18 +206,7 @@ fn run_cell(spec: &CellSpec, ops_per_core: u64, seed: u64, storm_bound: u64) -> 
     } else {
         CpuConfig::baseline()
     };
-    let mut cell = MulticoreCell {
-        spec: *spec,
-        ok: false,
-        ops_per_core,
-        worst_cycles_per_op: 0,
-        conflicts: 0,
-        rollbacks: 0,
-        snoops: 0,
-        blt_high_water: 0,
-        blt_clears: 0,
-        error: None,
-    };
+    let mut cell = MulticoreCell::empty(*spec, ops_per_core);
     let built = match MultiCore::try_new(&refs, cfg) {
         Ok(m) => m.with_storm_bound(storm_bound),
         Err(e) => {
@@ -284,17 +290,22 @@ pub fn run_multicore_opts(h: &Harness, opts: MulticoreOpts<'_>) -> MulticoreRepo
     let seed = h.exp.seed;
     let storm_bound = opts.storm_bound.unwrap_or(DEFAULT_STORM_BOUND);
     let ops_per_core = ops_at(scale);
-    let codec = CellCodec {
-        study: "multicore",
-        key: &|spec| cell_key(spec, scale, seed, storm_bound),
-        decode: decode_cell,
-        encode: cell_json,
-        ok: |c| c.ok,
+    let specs = CellSpec::all();
+    let sup = Supervisor {
+        jobs: h.jobs,
+        journal: opts.journal,
     };
-    let (cells, replayed) =
-        journaled_cells(h.jobs, opts.journal, &CellSpec::all(), &codec, |spec| {
-            run_cell(spec, ops_per_core, seed, storm_bound)
-        });
+    let outcomes = sup.run_cells(
+        &specs,
+        |_, spec| cell_key(spec, scale, seed, storm_bound),
+        |_, spec| Ok(run_cell(spec, ops_per_core, seed, storm_bound)),
+        cell_json,
+        decode_cell,
+    );
+    let (cells, replayed) = settle(&specs, outcomes, |spec, f| MulticoreCell {
+        error: Some(f.reason),
+        ..MulticoreCell::empty(*spec, ops_per_core)
+    });
     MulticoreReport {
         scale,
         seed,
@@ -448,7 +459,7 @@ impl MulticoreReport {
     pub fn render_json(&self) -> String {
         schema::emit(schema::MULTICORE, |root| {
             root.num("scale", self.scale as f64)
-                .num("seed", self.seed as f64)
+                .raw("seed", self.seed.to_string())
                 .num("ops_per_core", self.ops_per_core as f64)
                 .num("contended_share_pm", f64::from(CONTENDED_SHARE_PM));
             if self.storm_bound != DEFAULT_STORM_BOUND {

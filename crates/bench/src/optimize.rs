@@ -35,7 +35,9 @@ use std::collections::HashSet;
 
 use spp_cpu::{CpuConfig, ReferencePipeline, Simulator};
 use spp_obs::{Collector, ProbeHandle};
-use spp_pmem::{persist_boundaries, BlockId, Event, FlushMode, PersistFrontier, Variant};
+use spp_pmem::{
+    persist_boundaries, BlockId, Event, FlushMode, PersistFrontier, SharedTrace, Variant,
+};
 use spp_workloads::oracle::{first_violation, record_bundle, StreamIndex};
 use spp_workloads::BenchId;
 
@@ -43,8 +45,8 @@ use crate::crashfuzz::{crash_points, fuzz_bundle_spec, SEEDS_PER_POINT};
 use crate::journal::Journal;
 use crate::json::{self, parse, JsonObject, Value};
 use crate::schema;
-use crate::source::{MemorySource, TraceSource};
-use crate::study::{journaled_cells, CellCodec, CellWitness};
+use crate::study::CellWitness;
+use crate::supervisor::{settle, Supervisor};
 use crate::{variant_key, Harness, TraceKey};
 
 // --- the detector -----------------------------------------------------
@@ -432,21 +434,18 @@ fn cell_key(
 
 // --- cell execution ---------------------------------------------------
 
-/// The bench trace's events, pulled through the [`TraceSource`] trait
-/// (the optimizer is agnostic to where the trace lives; here it lives
-/// in the harness's in-memory cache).
-fn bench_events(h: &Harness, id: BenchId, variant: Variant) -> Vec<Event> {
-    MemorySource::new(h.trace(TraceKey::new(id, variant, &h.exp)))
-        .collect_events()
-        .unwrap_or_else(|e| unreachable!("in-memory trace source cannot fail: {e}"))
+/// The bench trace, shared from the harness's cache (no copy).
+fn bench_trace(h: &Harness, id: BenchId, variant: Variant) -> SharedTrace {
+    h.trace(TraceKey::new(id, variant, &h.exp))
 }
 
 fn run_plan_cell(h: &Harness, id: BenchId, variant: Variant) -> OptCell {
     let mut cell = OptCell::empty(OptimizeCellSpec::Plan);
-    let events = bench_events(h, id, variant);
-    let plan = analyze(&events);
+    let trace = bench_trace(h, id, variant);
+    let events = &trace.events;
+    let plan = analyze(events);
     cell.fill_plan(events.len() as u64, &plan);
-    if plan_preserves_guarantees(&events, &plan) {
+    if plan_preserves_guarantees(events, &plan) {
         cell.ok = true;
     } else {
         cell.error = Some("elision plan moved a guarantee frontier".to_string());
@@ -462,18 +461,19 @@ fn run_replay_cell(
     pass: ReplayPass,
 ) -> OptCell {
     let mut cell = OptCell::empty(OptimizeCellSpec::Replay { core, pass });
-    let recorded = bench_events(h, id, variant);
-    let events = match pass {
-        ReplayPass::Before => recorded,
+    let trace = bench_trace(h, id, variant);
+    let optimized;
+    let events: &[Event] = match pass {
+        ReplayPass::Before => &trace.events,
         ReplayPass::After => {
-            let plan = analyze(&recorded);
-            apply(&recorded, &plan)
+            optimized = apply(&trace.events, &analyze(&trace.events));
+            &optimized
         }
     };
     cell.events = events.len() as u64;
     let cfg = core.cpu();
     let collector = Collector::shared();
-    let sim = match Simulator::new(&events)
+    let sim = match Simulator::new(events)
         .config(cfg)
         .probe(ProbeHandle::new(collector.clone()))
         .run()
@@ -484,7 +484,7 @@ fn run_replay_cell(
             return cell;
         }
     };
-    let reference = match ReferencePipeline::new(&events, cfg).try_run() {
+    let reference = match ReferencePipeline::new(events, cfg).try_run() {
         Ok(r) => r,
         Err(e) => {
             cell.error = Some(format!("reference replay: {e}"));
@@ -709,17 +709,22 @@ pub fn run_optimize_opts(
 ) -> OptimizeReport {
     let scale = h.exp.scale;
     let seed = h.exp.seed;
-    let codec = CellCodec {
-        study: "optimize",
-        key: &|spec| cell_key(id, variant, spec, scale, seed),
-        decode: decode_cell,
-        encode: cell_json,
-        ok: |c| c.ok,
-    };
-    let (cells, replayed) =
-        journaled_cells(h.jobs, journal, &OptimizeCellSpec::all(), &codec, |spec| {
-            run_cell(h, id, variant, spec)
-        });
+    let specs = OptimizeCellSpec::all();
+    let outcomes = Supervisor {
+        jobs: h.jobs,
+        journal,
+    }
+    .run_cells(
+        &specs,
+        |_, spec| cell_key(id, variant, spec, scale, seed),
+        |_, spec| Ok(run_cell(h, id, variant, spec)),
+        cell_json,
+        decode_cell,
+    );
+    let (cells, replayed) = settle(&specs, outcomes, |spec, f| OptCell {
+        error: Some(f.reason),
+        ..OptCell::empty(*spec)
+    });
     OptimizeReport {
         id,
         variant,
@@ -1037,10 +1042,11 @@ mod tests {
     fn bench_traces_analyze_safely_and_logp_is_all_uncovered() {
         let h = harness();
         for variant in [Variant::LogP, Variant::LogPSf] {
-            let events = bench_events(&h, BenchId::LinkedList, variant);
-            let plan = analyze(&events);
+            let trace = bench_trace(&h, BenchId::LinkedList, variant);
+            let events = &trace.events;
+            let plan = analyze(events);
             assert!(
-                plan_preserves_guarantees(&events, &plan),
+                plan_preserves_guarantees(events, &plan),
                 "{variant}: unsafe plan"
             );
             if variant == Variant::LogP {

@@ -22,6 +22,10 @@
 //! a probe bug), and [`ProfileReport::ok`] gates the exit code.
 //! Everything is deterministic — the collectors use stride reservoirs,
 //! not RNG — so the bytes are identical at any `--jobs` count.
+//!
+//! [`run_profile_study`] runs the profile as one supervised cell whose
+//! journal payload is the rendered report, so `--resume` reproduces
+//! stdout and the Chrome trace byte for byte.
 
 use std::fmt::Write as _;
 
@@ -33,9 +37,10 @@ use spp_obs::{
 use spp_pmem::Variant;
 use spp_workloads::BenchId;
 
-use crate::json::{array, JsonObject};
+use crate::json::{array, parse, JsonObject, Value};
 use crate::parallel::run_indexed;
-use crate::{variant_key, Experiment, Harness, TraceKey};
+use crate::supervisor::{CellFailure, Supervisor};
+use crate::{variant_key, Experiment, Harness, Journal, TraceKey};
 
 /// One profiled core configuration.
 #[derive(Debug, Clone)]
@@ -130,6 +135,121 @@ pub fn run_profile(h: &Harness, id: BenchId, variant: Variant) -> ProfileReport 
         exp: h.exp,
         trace_uops: trace.counts.total(),
         cells,
+    }
+}
+
+/// A [`ProfileReport`] as rendered: the journal payload of a profile
+/// cell, so a replay reproduces stdout and the Chrome trace byte for
+/// byte.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RenderedProfile {
+    /// [`ProfileReport::ok`].
+    pub ok: bool,
+    /// [`ProfileReport::render_text`].
+    pub text: String,
+    /// [`ProfileReport::render_json`].
+    pub json: String,
+    /// [`ProfileReport::chrome_trace`].
+    pub trace: String,
+}
+
+impl RenderedProfile {
+    fn of(rep: &ProfileReport) -> Self {
+        RenderedProfile {
+            ok: rep.ok(),
+            text: rep.render_text(),
+            json: rep.render_json(),
+            trace: rep.chrome_trace(),
+        }
+    }
+
+    fn payload(&self) -> String {
+        let mut o = JsonObject::new();
+        o.num("ok", u8::from(self.ok))
+            .str("text", &self.text)
+            .str("json", &self.json)
+            .str("trace", &self.trace);
+        o.render()
+    }
+
+    fn decode(payload: &str) -> Option<Self> {
+        let v = parse(payload).ok()?;
+        let field = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
+        Some(RenderedProfile {
+            ok: v.get("ok").and_then(Value::as_u64)? == 1,
+            text: field("text")?,
+            json: field("json")?,
+            trace: field("trace")?,
+        })
+    }
+}
+
+/// `repro profile` as a journaled study: one supervised cell holding
+/// the rendered report.
+#[derive(Debug, Clone)]
+pub struct ProfileStudy {
+    /// The rendered report, or the record of a cell that exhausted its
+    /// retries.
+    pub cell: Result<RenderedProfile, CellFailure>,
+    /// 1 when the cell was served from the journal, else 0.
+    pub replayed: usize,
+}
+
+impl ProfileStudy {
+    /// The rendered report's verdict; a failed cell is never ok.
+    pub fn ok(&self) -> bool {
+        matches!(&self.cell, Ok(c) if c.ok)
+    }
+
+    /// The stall table (empty for a failed cell).
+    pub fn render_text(&self) -> String {
+        self.cell
+            .as_ref()
+            .map_or_else(|_| String::new(), |c| c.text.clone())
+    }
+
+    /// The `specpersist/profile-v2` line, or a failed cell's record.
+    pub fn render_json(&self) -> String {
+        match &self.cell {
+            Ok(c) => c.json.clone(),
+            Err(f) => f.to_json(),
+        }
+    }
+}
+
+/// Runs [`run_profile`] as one cell under the [`Supervisor`]: journaled
+/// when `journal` is attached, replayed from it when it holds the cell.
+pub fn run_profile_study(
+    h: &Harness,
+    id: BenchId,
+    variant: Variant,
+    journal: Option<&Journal>,
+) -> ProfileStudy {
+    let key = format!(
+        "profile/{}/{}/scale{}/seed{:#x}",
+        id.abbrev(),
+        variant_key(variant),
+        h.exp.scale,
+        h.exp.seed
+    );
+    let sup = Supervisor {
+        jobs: h.jobs,
+        journal,
+    };
+    let outcomes = sup.run_cells(
+        &[key],
+        |_, key| key.clone(),
+        |_, _| Ok(RenderedProfile::of(&run_profile(h, id, variant))),
+        RenderedProfile::payload,
+        |_, payload| RenderedProfile::decode(payload),
+    );
+    let replayed = outcomes.iter().filter(|o| o.replayed).count();
+    match outcomes.into_iter().next() {
+        Some(o) => ProfileStudy {
+            cell: o.result,
+            replayed,
+        },
+        None => unreachable!("one item yields one outcome"),
     }
 }
 
@@ -232,7 +352,7 @@ impl ProfileReport {
             root.str("bench", self.id.abbrev())
                 .str("variant", variant_key(self.variant))
                 .num("scale", self.exp.scale as f64)
-                .num("seed", self.exp.seed as f64)
+                .raw("seed", self.exp.seed.to_string())
                 .num("uops", self.trace_uops as f64)
                 .num("ok", u8::from(self.ok()))
                 .raw("cells", array(self.cells.iter().map(cell_json)));

@@ -1,8 +1,8 @@
 //! One home for every `specpersist/*` document schema.
 //!
 //! Each machine-readable output the harness writes — the suite sweep,
-//! the crash-consistency fuzzer, the fault-injection matrix, the soak
-//! report, journal manifest lines, and the stall profile — opens with
+//! the crash-consistency fuzzer, the fault-injection matrix, the
+//! studies, journal manifest lines, and the stall profile — opens with
 //! the same envelope: a `schema` field carrying a versioned identifier
 //! like `specpersist/suite-v1`, placed *first* so a reader (or a human
 //! with `head -c 40`) can dispatch on the document kind before parsing
@@ -55,13 +55,6 @@ pub const FAULTSIM: Schema = Schema {
     id: "specpersist/faultsim-v1",
 };
 
-/// The long-running soak report.
-pub const SOAK: Schema = Schema {
-    name: "soak",
-    version: 1,
-    id: "specpersist/soak-v1",
-};
-
 /// One line of the journaled result manifest.
 pub const JOURNAL: Schema = Schema {
     name: "journal",
@@ -105,8 +98,8 @@ pub const OPTIMIZE: Schema = Schema {
 };
 
 /// Every schema the harness knows, for exhaustive self-checks.
-pub const ALL: [Schema; 10] = [
-    SUITE, CRASHFUZZ, FAULTSIM, SOAK, JOURNAL, PROFILE, MULTICORE, LITMUS, KV, OPTIMIZE,
+pub const ALL: [Schema; 9] = [
+    SUITE, CRASHFUZZ, FAULTSIM, JOURNAL, PROFILE, MULTICORE, LITMUS, KV, OPTIMIZE,
 ];
 
 impl Schema {
@@ -224,7 +217,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_wrong_and_missing_schemas() {
-        let doc = emit(SOAK, |_| {});
+        let doc = emit(KV, |_| {});
         assert!(matches!(
             validate(&doc, SUITE).unwrap_err(),
             SchemaError::Mismatch { want, .. } if want == SUITE.id()

@@ -1,20 +1,24 @@
 //! The unified study façade behind every journaled `repro` command.
 //!
-//! `repro kv/litmus/multicore/faultsim/profile` (and now `optimize`)
-//! all share the same invocation shape: open a result journal under
-//! the resume discipline, run the study under a timed stage, surface
-//! corrupt journal entries, report how many cells replayed, print the
-//! text report and the one-line JSON document, and turn the report's
-//! verdict into an exit status. That plumbing used to be copy-pasted
-//! per command in the `repro` binary; it now lives here, once:
+//! `repro faultsim/litmus/kv/multicore/optimize/profile` all share the
+//! same invocation shape: open a result journal under the resume
+//! discipline, run the study under a timed stage, surface corrupt
+//! journal entries, report how many cells replayed, print the text
+//! report and the one-line JSON document, and turn the report's
+//! verdict into an exit status. That plumbing lives here, once:
 //!
 //! * [`StudyCli`] carries the shared `--journal`/`--resume` flag state
 //!   and opens the journal under the discipline the CLI documents;
 //! * [`StudyRunner`] owns the opened journal and the stage label and
 //!   drives one study end to end via [`StudyRunner::run`];
 //! * [`StudyReport`] is the small contract a study's report must meet
-//!   (`ok` / `replayed` / `render_text` / `render_json`) — the four
-//!   existing journaled studies already satisfied it verbatim.
+//!   (`ok` / `replayed` / `render_text` / `render_json`).
+//!
+//! Inside a study, every cell is looked up in, computed for, and
+//! appended to the journal by [`Supervisor::run_cells`] — the only code
+//! that reads or writes study cells.
+//!
+//! [`Supervisor::run_cells`]: crate::supervisor::Supervisor::run_cells
 //!
 //! The façade is output-preserving by construction: every byte written
 //! to stdout and stderr is the same the per-command plumbing wrote
@@ -28,9 +32,8 @@ use std::time::Instant;
 
 use spp_workloads::oracle::OracleViolation;
 
-use crate::journal::{CellStatus, Entry, Journal};
+use crate::journal::Journal;
 use crate::json::{JsonObject, Value};
-use crate::parallel::run_indexed;
 
 /// A rejected or failed journal opening, typed so the CLI can map each
 /// case onto its own diagnostic without string matching.
@@ -71,7 +74,7 @@ impl std::error::Error for StudyError {}
 /// resuming requires the file to exist, and starting fresh requires it
 /// to be absent or empty — an existing manifest is never silently
 /// appended to and never silently ignored.
-pub fn open_journal(path: &Path, resume: bool) -> Result<Journal, StudyError> {
+fn open_journal(path: &Path, resume: bool) -> Result<Journal, StudyError> {
     let display = path.display().to_string();
     let has_entries = std::fs::metadata(path)
         .map(|m| m.len() > 0)
@@ -144,6 +147,7 @@ impl_study_report!(
     crate::litmus::LitmusReport,
     crate::multicore::MulticoreReport,
     crate::optimize::OptimizeReport,
+    crate::profile::ProfileStudy,
 );
 
 /// Runs one evaluation stage, reporting wall time and throughput on
@@ -204,73 +208,6 @@ impl CellWitness {
     }
 }
 
-/// How a study's cells map onto journal entries.
-pub struct CellCodec<'a, S, C> {
-    /// Study name for the undecodable-payload diagnostic.
-    pub study: &'a str,
-    /// The journal key of a cell.
-    pub key: &'a dyn Fn(&S) -> String,
-    /// A cell back from its payload; `None` recomputes it.
-    pub decode: fn(&S, &str) -> Option<C>,
-    /// A cell as its payload.
-    pub encode: fn(&C) -> String,
-    /// The cell's verdict, journaled as its status.
-    pub ok: fn(&C) -> bool,
-}
-
-/// Runs a study's cells: every cell whose journal entry decodes is
-/// replayed, the rest run on up to `jobs` workers and are appended to
-/// the journal in `specs` order. Returns the cells in `specs` order and
-/// how many were replayed.
-pub fn journaled_cells<S: Sync, C: Send + Sync>(
-    jobs: usize,
-    journal: Option<&Journal>,
-    specs: &[S],
-    codec: &CellCodec<'_, S, C>,
-    run: impl Fn(&S) -> C + Sync,
-) -> (Vec<C>, usize) {
-    let cached: Vec<Option<C>> = specs
-        .iter()
-        .map(|spec| {
-            let j = journal?;
-            let key = (codec.key)(spec);
-            let decoded = (codec.decode)(spec, &j.lookup(&key)?.payload);
-            if decoded.is_none() {
-                j.report_bad_payload(&key, format!("{} payload does not decode", codec.study));
-            }
-            decoded
-        })
-        .collect();
-    let computed = run_indexed(jobs, specs, |i, spec| {
-        cached[i].is_none().then(|| run(spec))
-    });
-    let replayed = cached.iter().flatten().count();
-    let mut cells = Vec::with_capacity(specs.len());
-    for ((spec, cached), computed) in specs.iter().zip(cached).zip(computed) {
-        let fresh = cached.is_none();
-        let Some(cell) = cached.or(computed) else {
-            unreachable!("a cell neither cached nor computed")
-        };
-        if let Some(j) = journal.filter(|_| fresh) {
-            let entry = Entry {
-                key: (codec.key)(spec),
-                attempt: 1,
-                status: if (codec.ok)(&cell) {
-                    CellStatus::Ok
-                } else {
-                    CellStatus::Failed
-                },
-                payload: (codec.encode)(&cell),
-            };
-            if let Err(e) = j.append(&entry) {
-                eprintln!("repro: journal: {e}");
-            }
-        }
-        cells.push(cell);
-    }
-    (cells, replayed)
-}
-
 /// One journaled study invocation: the stage label, the expected
 /// simulation count (for the stderr rate line), and the opened journal.
 #[derive(Debug)]
@@ -291,36 +228,17 @@ impl StudyRunner {
         })
     }
 
-    /// The opened journal, for studies (profile) whose replay unit is
-    /// the whole report rather than per-cell.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
-    /// Runs `f` under this runner's timed stage without the report
-    /// protocol — the whole-payload studies drive their own replay.
-    pub fn stage<T>(&self, f: impl FnOnce() -> T) -> T {
-        staged(self.label, self.sims, f)
-    }
-
-    /// Surfaces every corrupt or undecodable journal entry on stderr
-    /// (each was recomputed rather than replayed).
-    pub fn report_corrupt(&self) {
+    /// Drives one study end to end: stage `f` (handing it the journal),
+    /// surface corrupt journal entries (each was recomputed rather than
+    /// replayed) and the replay count on stderr, print the text report
+    /// and the JSON line on stdout, and return the report — its verdict
+    /// is the exit status.
+    pub fn run<R: StudyReport>(&self, f: impl FnOnce(Option<&Journal>) -> R) -> R {
+        let rep = staged(self.label, self.sims, || f(self.journal.as_ref()));
         if let Some(j) = &self.journal {
             for e in j.corrupt() {
                 eprintln!("repro: journal: {e}");
             }
-        }
-    }
-
-    /// Drives one study end to end: stage `f` (handing it the journal),
-    /// surface corrupt entries and the replay count on stderr, print
-    /// the text report and the JSON line on stdout, and return the
-    /// report's verdict for the exit status.
-    pub fn run<R: StudyReport>(&self, f: impl FnOnce(Option<&Journal>) -> R) -> bool {
-        let rep = self.stage(|| f(self.journal.as_ref()));
-        self.report_corrupt();
-        if let Some(j) = &self.journal {
             eprintln!(
                 "# journal {}: {} cells replayed",
                 j.path().display(),
@@ -329,7 +247,7 @@ impl StudyRunner {
         }
         print!("{}", rep.render_text());
         println!("{}", rep.render_json());
-        rep.ok()
+        rep
     }
 }
 
@@ -392,15 +310,15 @@ mod tests {
         let cli = StudyCli::default();
         assert!(cli.open().unwrap().is_none());
         let runner = StudyRunner::new("study-test", 0, &cli).unwrap();
-        assert!(runner.journal().is_none());
+        assert!(runner.journal.is_none());
     }
 
     #[test]
     fn runner_returns_the_report_verdict() {
         let cli = StudyCli::default();
         let runner = StudyRunner::new("study-test", 0, &cli).unwrap();
-        assert!(runner.run(|_| FakeReport { ok: true }));
-        assert!(!runner.run(|_| FakeReport { ok: false }));
+        assert!(runner.run(|_| FakeReport { ok: true }).ok);
+        assert!(!runner.run(|_| FakeReport { ok: false }).ok);
     }
 
     #[test]
@@ -411,7 +329,7 @@ mod tests {
             resume: false,
         };
         let runner = StudyRunner::new("study-test", 0, &cli).unwrap();
-        let saw_journal = runner.run(|j| FakeReport { ok: j.is_some() });
+        let saw_journal = runner.run(|j| FakeReport { ok: j.is_some() }).ok;
         assert!(saw_journal, "the study closure must receive the journal");
         std::fs::remove_file(&p).unwrap();
     }

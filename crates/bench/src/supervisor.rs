@@ -149,37 +149,18 @@ pub struct CellOutcome<R> {
     pub result: Result<R, CellFailure>,
 }
 
-/// The supervised pool configuration: worker budget, retry budget, and
-/// an optional journal for replay + recording.
+/// The supervised pool configuration: worker budget and an optional
+/// journal for replay + recording. Every cell gets [`MAX_ATTEMPTS`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Supervisor<'j> {
     /// Worker threads (0 and 1 both mean serial).
     pub jobs: usize,
-    /// Total attempts per cell; 0 is treated as 1.
-    pub max_attempts: u32,
     /// Replay completed cells from (and record new ones into) this
     /// journal.
     pub journal: Option<&'j Journal>,
 }
 
-impl<'j> Supervisor<'j> {
-    /// A supervisor with the default retry budget and no journal.
-    pub fn new(jobs: usize) -> Self {
-        Supervisor {
-            jobs,
-            max_attempts: MAX_ATTEMPTS,
-            journal: None,
-        }
-    }
-
-    /// Same, recording into (and replaying from) `journal`.
-    pub fn with_journal(jobs: usize, journal: &'j Journal) -> Self {
-        Supervisor {
-            journal: Some(journal),
-            ..Supervisor::new(jobs)
-        }
-    }
-
+impl Supervisor<'_> {
     /// Runs every item as a supervised cell, returning outcomes in
     /// input order.
     ///
@@ -187,8 +168,9 @@ impl<'j> Supervisor<'j> {
     ///   everything that determines the result.
     /// * `run` computes the cell (pure; may panic or return a typed
     ///   [`CellError`]).
-    /// * `encode`/`decode` serialize the result for the journal; a
-    ///   `decode` rejection is reported to the journal as a typed
+    /// * `encode`/`decode` serialize the result for the journal
+    ///   (`decode` sees the item, for payloads that do not repeat it);
+    ///   a `decode` rejection is reported to the journal as a typed
     ///   error and the cell recomputes.
     pub fn run_cells<T, R, K, F, E, D>(
         &self,
@@ -204,9 +186,8 @@ impl<'j> Supervisor<'j> {
         K: Fn(usize, &T) -> String + Sync,
         F: Fn(usize, &T) -> Result<R, CellError> + Sync,
         E: Fn(&R) -> String + Sync,
-        D: Fn(&str) -> Option<R> + Sync,
+        D: Fn(&T, &str) -> Option<R> + Sync,
     {
-        let max_attempts = self.max_attempts.max(1);
         run_indexed(self.jobs, items, |i, item| {
             let key = key(i, item);
             // Replay path: a verified journal entry short-circuits the
@@ -214,7 +195,7 @@ impl<'j> Supervisor<'j> {
             if let Some(j) = self.journal {
                 if let Some(entry) = j.lookup(&key) {
                     match entry.status {
-                        CellStatus::Ok => match decode(&entry.payload) {
+                        CellStatus::Ok => match decode(item, &entry.payload) {
                             Some(r) => {
                                 return CellOutcome {
                                     key,
@@ -242,7 +223,7 @@ impl<'j> Supervisor<'j> {
             // Compute path: bounded deterministic retry under panic
             // isolation.
             let mut last = CellError::new("cell never ran");
-            for attempt in 1..=max_attempts {
+            for attempt in 1..=MAX_ATTEMPTS {
                 match catch_unwind(AssertUnwindSafe(|| run(i, item))) {
                     Ok(Ok(r)) => {
                         if let Some(j) = self.journal {
@@ -266,26 +247,43 @@ impl<'j> Supervisor<'j> {
             }
             let failure = CellFailure {
                 key: key.clone(),
-                attempts: max_attempts,
+                attempts: MAX_ATTEMPTS,
                 reason: last.reason,
                 snapshot: last.snapshot,
             };
             if let Some(j) = self.journal {
                 let _ = j.append(&Entry {
                     key: key.clone(),
-                    attempt: max_attempts,
+                    attempt: MAX_ATTEMPTS,
                     status: CellStatus::Failed,
                     payload: failure.to_json(),
                 });
             }
             CellOutcome {
                 key,
-                attempts: max_attempts,
+                attempts: MAX_ATTEMPTS,
                 replayed: false,
                 result: Err(failure),
             }
         })
     }
+}
+
+/// Settles outcomes into one result per item, in input order: a cell
+/// that exhausted its retries becomes `degrade(item, failure)`. Also
+/// returns how many cells were served from the journal.
+pub fn settle<T, R>(
+    items: &[T],
+    outcomes: Vec<CellOutcome<R>>,
+    degrade: impl Fn(&T, CellFailure) -> R,
+) -> (Vec<R>, usize) {
+    let replayed = outcomes.iter().filter(|o| o.replayed).count();
+    let results = outcomes
+        .into_iter()
+        .zip(items)
+        .map(|(o, item)| o.result.unwrap_or_else(|f| degrade(item, f)))
+        .collect();
+    (results, replayed)
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -318,16 +316,20 @@ mod tests {
 
     fn ident_codec() -> (
         impl Fn(&u64) -> String + Sync,
-        impl Fn(&str) -> Option<u64> + Sync,
+        impl Fn(&u64, &str) -> Option<u64> + Sync,
     ) {
-        (|r: &u64| r.to_string(), |s: &str| s.parse().ok())
+        (|r: &u64| r.to_string(), |_: &u64, s: &str| s.parse().ok())
     }
 
     #[test]
     fn panicking_cell_degrades_while_others_report() {
         let items: Vec<u64> = (0..16).collect();
         let (enc, dec) = ident_codec();
-        let outs = Supervisor::new(4).run_cells(
+        let outs = Supervisor {
+            jobs: 4,
+            journal: None,
+        }
+        .run_cells(
             &items,
             |_, &x| format!("cell/{x}"),
             |_, &x| {
@@ -358,7 +360,11 @@ mod tests {
         let items = [0u64];
         let tries = AtomicU32::new(0);
         let (enc, dec) = ident_codec();
-        let outs = Supervisor::new(1).run_cells(
+        let outs = Supervisor {
+            jobs: 1,
+            journal: None,
+        }
+        .run_cells(
             &items,
             |_, _| "cell/flaky".to_string(),
             |_, _| {
@@ -386,7 +392,11 @@ mod tests {
         {
             let j = Journal::open(&p).unwrap();
             let (enc, dec) = ident_codec();
-            let outs = Supervisor::with_journal(2, &j).run_cells(
+            let outs = Supervisor {
+                jobs: 2,
+                journal: Some(&j),
+            }
+            .run_cells(
                 &items,
                 |_, &x| format!("cell/{x}"),
                 |_, &x| {
@@ -415,7 +425,11 @@ mod tests {
         assert!(j.corrupt().is_empty());
         let before = computed.load(Ordering::SeqCst);
         let (enc, dec) = ident_codec();
-        let outs = Supervisor::with_journal(2, &j).run_cells(
+        let outs = Supervisor {
+            jobs: 2,
+            journal: Some(&j),
+        }
+        .run_cells(
             &items,
             |_, &x| format!("cell/{x}"),
             |_, &x| {
@@ -459,7 +473,11 @@ mod tests {
         }
         let j = Journal::open(&p).unwrap();
         let (enc, dec) = ident_codec();
-        let outs = Supervisor::with_journal(1, &j).run_cells(
+        let outs = Supervisor {
+            jobs: 1,
+            journal: Some(&j),
+        }
+        .run_cells(
             &[0u64],
             |_, &x| format!("cell/{x}"),
             |_, &x| Ok(x + 1),
@@ -475,6 +493,40 @@ mod tests {
     }
 
     #[test]
+    fn settle_degrades_exhausted_cells_in_place() {
+        let p = tmp("settle");
+        let items: Vec<u64> = (0..4).collect();
+        let run = || {
+            let j = Journal::open(&p).unwrap();
+            let (enc, dec) = ident_codec();
+            let outs = Supervisor {
+                jobs: 2,
+                journal: Some(&j),
+            }
+            .run_cells(
+                &items,
+                |_, &x| format!("cell/{x}"),
+                |_, &x| {
+                    if x == 2 {
+                        panic!("cell 2 is down");
+                    }
+                    Ok(x * 10)
+                },
+                enc,
+                dec,
+            );
+            settle(&items, outs, |&x, f| {
+                assert!(f.reason.contains("cell 2 is down"), "{f:?}");
+                1000 + x
+            })
+        };
+        assert_eq!(run(), (vec![0, 10, 1002, 30], 0));
+        // The failure is journalled like a result, so it replays too.
+        assert_eq!(run(), (vec![0, 10, 1002, 30], 4));
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
     fn outcomes_are_input_ordered_at_any_job_count() {
         let items: Vec<u64> = (0..64).collect();
         let run = |_: usize, &x: &u64| {
@@ -486,11 +538,14 @@ mod tests {
         };
         let collect = |jobs| {
             let (enc, dec) = ident_codec();
-            Supervisor::new(jobs)
-                .run_cells(&items, |_, &x| format!("c/{x}"), run, enc, dec)
-                .into_iter()
-                .map(|o| (o.key, o.result.map_err(|f| f.reason)))
-                .collect::<Vec<_>>()
+            Supervisor {
+                jobs,
+                journal: None,
+            }
+            .run_cells(&items, |_, &x| format!("c/{x}"), run, enc, dec)
+            .into_iter()
+            .map(|o| (o.key, o.result.map_err(|f| f.reason)))
+            .collect::<Vec<_>>()
         };
         assert_eq!(collect(1), collect(8));
     }

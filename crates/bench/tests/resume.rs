@@ -1,4 +1,5 @@
-//! End-to-end kill-and-resume determinism for `repro faultsim`.
+//! End-to-end kill-and-resume determinism for `repro faultsim` and
+//! `repro profile`.
 //!
 //! The resumability contract: a journaled run that is SIGKILLed
 //! mid-campaign and then resumed with `--resume` must print stdout
@@ -6,8 +7,8 @@
 //! journal only changes *where* results come from (replay vs
 //! recompute), never *what* is reported.
 
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 const SCALE: &str = "2400";
@@ -164,5 +165,83 @@ fn second_resume_replays_every_cell_byte_identically() {
         len_after_first,
         "a fully replayed run must append nothing"
     );
+    std::fs::remove_file(&journal).expect("cleanup");
+}
+
+/// `repro profile LL logpsf --scale 400 --seed 1` journaled into
+/// `journal`, writing its Chrome trace to `trace_out`.
+fn profile(journal: &Path, trace_out: &Path, resume: bool) -> Output {
+    let mut cmd = repro();
+    cmd.args([
+        "profile",
+        "LL",
+        "logpsf",
+        "--scale",
+        "400",
+        "--seed",
+        "1",
+        "--journal",
+    ])
+    .arg(journal)
+    .arg("--trace-out")
+    .arg(trace_out);
+    if resume {
+        cmd.arg("--resume");
+    }
+    cmd.output().expect("profile run")
+}
+
+#[test]
+fn resumed_profile_replays_stdout_and_trace_byte_identically() {
+    let journal = tmp("profile");
+    let (trace_a, trace_b) = (tmp("profile-trace-a"), tmp("profile-trace-b"));
+    let first = profile(&journal, &trace_a, false);
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let second = profile(&journal, &trace_b, true);
+    assert!(
+        second.status.success(),
+        "{}",
+        String::from_utf8_lossy(&second.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&second.stdout),
+        String::from_utf8_lossy(&first.stdout),
+        "replayed stdout must be byte-identical"
+    );
+    let (a, b) = (
+        std::fs::read(&trace_a).expect("first trace"),
+        std::fs::read(&trace_b).expect("replayed trace"),
+    );
+    assert!(!a.is_empty());
+    assert!(a == b, "replayed Chrome trace must be byte-identical");
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert!(stderr.contains(": 1 cells replayed"), "{stderr}");
+    for p in [&journal, &trace_a, &trace_b] {
+        std::fs::remove_file(p).expect("cleanup");
+    }
+}
+
+#[test]
+fn unwritable_trace_out_exits_non_zero_fresh_and_replayed() {
+    let journal = tmp("profile-bad-trace");
+    let bad = std::env::temp_dir()
+        .join(format!(
+            "spp-resume-test-{}-no-such-dir",
+            std::process::id()
+        ))
+        .join("t.json");
+    for resume in [false, true] {
+        let out = profile(&journal, &bad, resume);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "resume={resume}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("repro: --trace-out")),
+            "resume={resume}: {stderr}"
+        );
+    }
     std::fs::remove_file(&journal).expect("cleanup");
 }

@@ -12,16 +12,15 @@
 //! ```
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use spp_bench::crashfuzz::{run_crashfuzz, Leg};
-use spp_bench::faultsim::run_faultsim;
+use spp_bench::crashfuzz::{run_crashfuzz, FuzzReport, Leg};
+use spp_bench::faultsim::{run_faultsim, FaultReport, WatchdogReport};
 use spp_bench::journal::{CellStatus, Entry, Journal};
-use spp_bench::kv::run_kv_study;
-use spp_bench::litmus::run_litmus;
+use spp_bench::kv::{run_kv_study, KvReport};
+use spp_bench::litmus::{run_litmus, LitmusReport, ModelKnob};
 use spp_bench::multicore::run_multicore_study;
-use spp_bench::optimize::run_optimize_study;
-use spp_bench::profile::run_profile;
-use spp_bench::soak::run_soak;
-use spp_bench::{json, schema, Experiment, Harness};
+use spp_bench::optimize::{run_optimize_study, OptCell, OptimizeCellSpec, OptimizeReport};
+use spp_bench::profile::{run_profile, ProfileReport};
+use spp_bench::{json, schema, Experiment, Harness, MulticoreReport};
 use spp_pmem::Variant;
 use spp_workloads::BenchId;
 
@@ -88,17 +87,6 @@ fn faultsim_document_is_stable() {
 }
 
 #[test]
-fn soak_document_is_stable() {
-    let mut p = std::env::temp_dir();
-    p.push(format!("spp-golden-soak-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&p);
-    let journal = Journal::open(&p).unwrap();
-    let rep = run_soak(&exp(), 2, 1, &journal);
-    std::fs::remove_file(&p).unwrap();
-    check("soak.json", &rep.render_json(), schema::SOAK);
-}
-
-#[test]
 fn multicore_document_is_stable() {
     let rep = run_multicore_study(&harness());
     check("multicore.json", &rep.render_json(), schema::MULTICORE);
@@ -147,4 +135,92 @@ fn journal_line_is_stable() {
     // The line is itself a schema document (trailing newline aside).
     schema::validate(line.trim_end(), schema::JOURNAL).unwrap();
     golden("journal.jsonl", &line);
+}
+
+/// Seeds are `u64`s: every document writes its seed exactly, including
+/// past 2^53, where an `f64` rendering would round.
+#[test]
+fn a_u64_max_seed_is_written_exactly_in_every_document() {
+    let exp = Experiment {
+        scale: 2400,
+        seed: u64::MAX,
+    };
+    let (scale, seed) = (exp.scale, exp.seed);
+    let (id, variant) = (BenchId::LinkedList, Variant::LogP);
+    let docs = [
+        FuzzReport {
+            exp,
+            seeds_per_point: 1,
+            cells: Vec::new(),
+            sp: Vec::new(),
+        }
+        .render_json(),
+        FaultReport {
+            exp,
+            cells: Vec::new(),
+            failures: Vec::new(),
+            replayed: 0,
+            watchdog: WatchdogReport {
+                id,
+                bound: 1,
+                fired: false,
+                cycle: 0,
+                rob_len: 0,
+                detail: String::new(),
+                ok: false,
+            },
+        }
+        .render_json(),
+        LitmusReport {
+            scale,
+            seed,
+            knob: ModelKnob::default(),
+            programs: 0,
+            cells: Vec::new(),
+            replayed: 0,
+        }
+        .render_json(),
+        MulticoreReport {
+            scale,
+            seed,
+            ops_per_core: 1,
+            storm_bound: 64,
+            cells: Vec::new(),
+            replayed: 0,
+        }
+        .render_json(),
+        ProfileReport {
+            id,
+            variant,
+            exp,
+            trace_uops: 0,
+            cells: Vec::new(),
+        }
+        .render_json(),
+        KvReport {
+            scale,
+            seed,
+            cells: Vec::new(),
+            replayed: 0,
+        }
+        .render_json(),
+        OptimizeReport {
+            id,
+            variant,
+            scale,
+            seed,
+            cells: OptimizeCellSpec::all()
+                .into_iter()
+                .map(|spec| OptCell {
+                    spec,
+                    ..OptCell::default()
+                })
+                .collect(),
+            replayed: 0,
+        }
+        .render_json(),
+    ];
+    for doc in docs {
+        assert!(doc.contains("\"seed\":18446744073709551615"), "{doc}");
+    }
 }
