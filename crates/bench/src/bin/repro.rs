@@ -1,120 +1,42 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, and run the
+//! extension studies.
+//!
+//! Every command is one entry of [`COMMANDS`]: its word, the positional
+//! words it takes (written as the usage line shows them), the flags it
+//! accepts beyond `--scale`, `--seed` and `--jobs`, and the function
+//! that runs it. The argv walk, the argv checks, the usage block and
+//! dispatch all read that table; `repro` with no command prints the
+//! usage. Each runner's doc comment says what its command does.
 //!
 //! ```text
-//! repro <command> [--scale N] [--seed S] [--jobs J]
+//! --scale N  divide Table 1's op counts by N (default 50; 1 = paper)
+//! --seed S   RNG seed (default 0x5EED)
+//! --jobs J   worker threads (default: all cores; 1 = serial)
+//! --journal [PATH]  record completed cells into the journaled result
+//!            manifest at PATH (default `.specpersist/journal-v1.jsonl`);
+//!            a fresh run requires a fresh path
+//! --resume   (with --journal) replay verified cells from an existing
+//!            journal instead of recomputing them; the resumed stdout is
+//!            byte-identical to an uninterrupted run's
+//! --model-knob K  (test-only) weaken one Px86 rule — `honest` (default)
+//!            or `clflushopt-po` (pretend clflushopt is program-ordered
+//!            like clflush); under a weakened model the checker must
+//!            reach forbidden states, proving the harness would catch a
+//!            real model violation
+//! --trace-out PATH  write the merged Chrome trace_event document to
+//!            PATH (loadable in Perfetto or chrome://tracing); a write
+//!            failure exits non-zero
+//! --trace-mem-cap BYTES  cap the bytes of recorded traces the harness
+//!            may hold resident; a run that trips the cap fails with a
+//!            typed one-line error (never an OOM kill) and dumps the
+//!            per-trace byte footprint to stderr
+//! ```
 //!
-//! Commands:
-//!   all        every table and figure (plus the ablation study)
-//!   table1 | table2 | table3
-//!   fig8 | fig9 | fig10 | fig11 | fig12 | fig13 | fig14
-//!   ablation   SP design-choice sensitivity (beyond the paper)
-//!   incremental  full vs incremental logging on the B-tree (§3.2)
-//!   flushmode  clwb vs clflushopt vs clflush (§2.2 footnote)
-//!   trace <BENCH> <VARIANT>  inspect one recorded trace (uop mix)
-//!   json       run the suite and print machine-readable JSON
-//!   multicore  shared-data multi-core scaling study: concurrent
-//!              persistent structures (Treiber stack, MS queue) over
-//!              one coherent memory system, 1..4 cores x {baseline,
-//!              SP256} x {contended, disjoint}, reporting worst-core
-//!              cycles/op plus BLT conflict/rollback accounting as one
-//!              `specpersist/multicore-v1` JSON line; journaled like
-//!              faultsim, exits non-zero unless the contended SP legs
-//!              conflict and the disjoint legs stay conflict-free
-//!   litmus     Px86 persistency-model validation: sweep the litmus
-//!              catalog (plus seeded generated programs at generous
-//!              scales) x {clwb, clflushopt, clflush}, checking every
-//!              reachable post-crash state of the real stack — CrashSim
-//!              at each persist boundary, both pipeline cores x
-//!              {baseline, SP} — against the executable Px86 reference
-//!              model, with the SP differential proving speculation
-//!              never widens a reachable set; prints the per-program
-//!              table plus one `specpersist/litmus-v1` JSON line,
-//!              journaled like faultsim; exits non-zero if any leg
-//!              reaches a forbidden state (the minimized witness is in
-//!              the report)
-//!   kv         crash-recoverable KV storage engine: WAL + COW
-//!              checkpointed B+tree under a mixed YCSB-style load —
-//!              baseline-vs-SP cycles across a checkpoint-interval
-//!              sweep, crash recovery fuzzed at every persist boundary
-//!              (clean under Log+P+Sf, witness-minimized under Log,
-//!              and a must-fail leg proving an elided WAL checksum is
-//!              caught), plus a bounded-memory streamed-trace leg;
-//!              prints the per-cell tables plus one
-//!              `specpersist/kv-v1` JSON line, journaled like
-//!              faultsim; exits non-zero if any oracle fails or the
-//!              SP legs regress
-//!   optimize <BENCH> <VARIANT>  persist-path trace optimizer: detect
-//!              redundant persist operations in one recorded trace
-//!              (the same line flushed twice in an epoch, flushes
-//!              never covered by a persist barrier, fences with
-//!              nothing to order), elide them, replay the
-//!              optimized trace on both pipeline cores x {baseline,
-//!              SP} with the spp-obs probe attached, and prove safety
-//!              by crashfuzzing every persist boundary of the
-//!              optimized trace (plus an inverted leg eliding a
-//!              required flush, which the oracle must catch); prints
-//!              the before/after cycle + stall diff and one
-//!              `specpersist/optimize-v1` JSON line, journaled like
-//!              kv; exits non-zero if any leg fails
-//!   journal check <PATH>  offline integrity walk of a journaled
-//!              result manifest: verify every line's checksum and
-//!              envelope, report damaged lines (bit flips, torn tail,
-//!              truncation); exit 0 clean, 2 damage found, 1 missing
-//!              or unreadable file
-//!   crashfuzz [all|log|logp|logpsf]  crash-consistency fuzzing, the
-//!              workload-level half of the persist-semantics story
-//!              (litmus is the model-level half): Log+P+Sf must recover
-//!              at every crash point/reordering, Log and Log+P must
-//!              each yield a minimized inconsistency witness; exits
-//!              non-zero if either direction fails
-//!   faultsim   deterministic hardware fault injection: every
-//!              benchmark x variant x fault plan must commit exactly
-//!              the fault-free architectural state (only cycle counts
-//!              may move), crash verdicts must hold, and the
-//!              forward-progress watchdog must convert a wedged run
-//!              into a typed error; exits non-zero on any divergence
-//!   profile <BENCH> <VARIANT>  cycle-resolved observability: replay
-//!              one trace on the baseline and SP256 cores with the
-//!              spp-obs probe attached, print the stall-attribution
-//!              table plus one `specpersist/profile-v2` JSON line, and
-//!              optionally export a Chrome trace (--trace-out); exits
-//!              non-zero if the probe's attribution diverges from the
-//!              machine's own stall counters
-//!
-//! Options:
-//!   --scale N  divide Table 1's op counts by N (default 50; 1 = paper)
-//!   --seed S   RNG seed (default 0x5EED)
-//!   --jobs J   worker threads (default: all cores; 1 = serial)
-//!   --journal [PATH]  (faultsim/profile/multicore/litmus/kv/optimize)
-//!              record completed cells
-//!              into the journaled result manifest at PATH (default:
-//!              `.specpersist/journal-v1.jsonl`); a fresh run requires
-//!              a fresh path
-//!   --resume   (with --journal) replay verified cells from an existing
-//!              journal instead of recomputing them; the resumed stdout
-//!              is byte-identical to an uninterrupted run's
-//!   --storm-bound N  (multicore) conflict-storm rollback budget per
-//!              trace position before a core degrades to a typed
-//!              ConflictStorm error (default 64; must be at least 1 —
-//!              a zero budget would fail on the first legitimate
-//!              conflict rollback)
-//!   --model-knob K  (litmus; test-only) weaken one Px86 rule —
-//!              `honest` (default) or `clflushopt-po` (pretend
-//!              clflushopt is program-ordered like clflush); under a
-//!              weakened model the checker must reach forbidden states,
-//!              proving the harness would catch a real model violation
-//!   --trace-out PATH  (profile) write the merged Chrome trace_event
-//!              document to PATH (loadable in Perfetto or
-//!              chrome://tracing); a write failure exits non-zero
-//!   --trace-mem-cap BYTES  cap the bytes of recorded traces the
-//!              harness may hold resident; a run that trips the cap
-//!              fails with a typed one-line error (never an OOM kill)
-//!              and dumps the per-trace byte footprint to stderr
-//!
-//! Invalid input (a malformed or zero --scale/--jobs, an unknown
-//! command, flag, benchmark, variant, or leg, a positional word the
-//! command does not take, or contradictory journal flags) exits
-//! non-zero with a one-line `repro: ...` diagnostic on stderr.
+//! Invalid input exits non-zero with a one-line `repro: ...` diagnostic
+//! on stderr; when argv alone is at fault (a malformed or zero value, an
+//! unknown command, flag, benchmark, variant or leg, a missing or surplus
+//! word, a flag the command does not take, `--resume` without
+//! `--journal`) the usage block follows it.
 //!
 //! Every trace is recorded exactly once per invocation and shared
 //! across all simulator configurations (the `repro all` sweep replays
@@ -122,21 +44,178 @@
 //! report on stdout is byte-identical at every job count; stage
 //! timings (and, for `all`, peak RSS) go to stderr. No command writes
 //! a file it was not told to write.
-//! ```
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use spp_bench::litmus::ModelKnob;
+use spp_bench::multicore::{run_multicore_opts, CellSpec};
 use spp_bench::report;
 use spp_bench::study::{staged, StudyCli, StudyError, StudyRunner};
 use spp_bench::supervisor::MAX_ATTEMPTS;
-use spp_bench::{Experiment, Harness};
+use spp_bench::{parse_bench, parse_variant, BenchRun, CellFailure, Experiment, Harness, Journal};
 use spp_pmem::Variant;
 use spp_workloads::BenchId;
 
-const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--storm-bound N] [--trace-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
+/// The flags `repro` knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flag {
+    Scale,
+    Seed,
+    Jobs,
+    Journal,
+    Resume,
+    ModelKnob,
+    TraceOut,
+    TraceMemCap,
+}
+
+/// Every flag, in the order the scope check reports them.
+const FLAGS: [Flag; 8] = [
+    Flag::Scale,
+    Flag::Seed,
+    Flag::Jobs,
+    Flag::Journal,
+    Flag::Resume,
+    Flag::ModelKnob,
+    Flag::TraceOut,
+    Flag::TraceMemCap,
+];
+
+impl Flag {
+    /// The flag's word, its value as the usage line shows it (after a
+    /// space), and what a valid value is.
+    fn spec(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Flag::Scale => ("--scale", " N", "an integer of at least 1"),
+            Flag::Seed => ("--seed", " S", "a non-negative integer"),
+            Flag::Jobs => ("--jobs", " J", "an integer of at least 1"),
+            Flag::Journal => ("--journal", " [PATH]", "a file path"),
+            Flag::Resume => ("--resume", "", ""),
+            Flag::ModelKnob => ("--model-knob", " K", "honest or clflushopt-po"),
+            Flag::TraceOut => ("--trace-out", " PATH", "a file path"),
+            // Zero would trip before the first recording; the smallest
+            // honest budget is one byte.
+            Flag::TraceMemCap => ("--trace-mem-cap", " BYTES", "a byte count of at least 1"),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        self.spec().0
+    }
+}
+
+/// A command's flag list.
+type Flags = &'static [Flag];
+/// The flags every command accepts.
+const EVERY_COMMAND: Flags = &[Flag::Scale, Flag::Seed, Flag::Jobs];
+/// Commands that run on the harness, whose trace cache the cap governs.
+const CAPPED: Flags = &[Flag::TraceMemCap];
+/// Journaled studies.
+const JOURNALED: Flags = &[Flag::Journal, Flag::Resume, Flag::TraceMemCap];
+/// `litmus` also takes the model knob, `profile` the trace file.
+const LITMUS: Flags = &[
+    Flag::Journal,
+    Flag::Resume,
+    Flag::ModelKnob,
+    Flag::TraceMemCap,
+];
+const PROFILE: Flags = &[
+    Flag::Journal,
+    Flag::Resume,
+    Flag::TraceOut,
+    Flag::TraceMemCap,
+];
+/// The `<BENCH> <VARIANT>` words of `trace`, `profile` and `optimize`.
+const BENCH_VARIANT: &str = "<GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>";
+
+/// Runs a command once its argv has passed [`check`].
+type Runner = fn(&Ctx) -> Result<ExitCode, CliError>;
+/// Renders a command's section of `repro all`; the second argument is
+/// the command word, the label of its timed stage.
+type Section = fn(&Ctx, &'static str) -> String;
+
+/// One `repro` command.
+struct Command {
+    word: &'static str,
+    /// Positional words as the usage line shows them: a bare word must
+    /// be given literally, `<X>` is required and `[X]` optional.
+    args: &'static str,
+    /// Flags accepted beyond [`EVERY_COMMAND`].
+    flags: Flags,
+    run: Runner,
+    /// The command's part of `repro all`, in table order.
+    section: Option<Section>,
+}
+
+const fn cmd(word: &'static str, args: &'static str, flags: Flags, run: Runner) -> Command {
+    Command {
+        word,
+        args,
+        flags,
+        run,
+        section: None,
+    }
+}
+
+/// A report section: `repro all` prints it, and so does its own command.
+const fn section(word: &'static str, render: Section) -> Command {
+    Command {
+        section: Some(render),
+        ..cmd(word, "", CAPPED, print_section)
+    }
+}
+
+/// Every command, in usage order. The stage sizes are the simulations
+/// each section issues (for the stderr rate line).
+static COMMANDS: &[Command] = &[
+    cmd("all", "", CAPPED, all),
+    section("table1", |c, _| report::table1(&c.cli.exp)),
+    section("table2", |_, _| report::table2()),
+    section("table3", |_, _| report::table3()),
+    section("fig8", |c, _| report::fig8(c.suite())),
+    section("fig9", |c, _| report::fig9(c.suite())),
+    section("fig10", |c, _| report::fig10(c.suite())),
+    section("fig11", |c, _| report::fig11(c.suite())),
+    section("fig12", |c, _| report::fig12(c.suite())),
+    section("fig13", |c, w| c.timed(w, 49, report::fig13)),
+    section("fig14", |c, _| report::fig14(c.suite())),
+    section("ablation", |c, w| c.timed(w, 42, report::ablation)),
+    section("incremental", |c, w| c.timed(w, 4, report::incremental)),
+    section("flushmode", |c, w| c.timed(w, 18, report::flushmode)),
+    cmd("json", "", CAPPED, json),
+    cmd("trace", BENCH_VARIANT, &[], trace),
+    cmd("crashfuzz", "[all|log|logp|logpsf]", CAPPED, crashfuzz),
+    cmd("faultsim", "", JOURNALED, faultsim),
+    Command {
+        section: Some(|c, w| c.timed(w, CellSpec::all().len(), report::multicore)),
+        ..cmd("multicore", "", JOURNALED, multicore)
+    },
+    cmd("kv", "", JOURNALED, kv),
+    cmd("litmus", "", LITMUS, litmus),
+    cmd("optimize", BENCH_VARIANT, JOURNALED, optimize),
+    cmd("profile", BENCH_VARIANT, PROFILE, profile),
+    cmd("journal", "check <PATH>", &[], journal),
+];
+
+/// The usage block, rendered from [`COMMANDS`]: one line per run of
+/// consecutive commands that take the same words and flags.
+fn usage() -> String {
+    let flags = |fs: &[Flag]| -> String {
+        fs.iter()
+            .map(|f| format!(" [{}{}]", f.name(), f.spec().1))
+            .collect()
+    };
+    let mut s = format!("usage: repro <command>{}\n", flags(EVERY_COMMAND));
+    for group in COMMANDS.chunk_by(|a, b| a.args == b.args && a.flags == b.flags) {
+        let words: Vec<&str> = group.iter().map(|c| c.word).collect();
+        let head = [words.join("|"), group[0].args.to_string()].join(" ");
+        s += &format!("  repro {}{}\n", head.trim_end(), flags(group[0].flags));
+    }
+    s
+}
 
 /// A rejected invocation: every variant renders as one line, and every
 /// variant exits non-zero. Parsing never panics on user input.
@@ -149,7 +228,7 @@ enum CliError {
     /// A `--` word that is not one of `repro`'s flags.
     UnknownFlag(String),
     /// A positional word beyond those the command takes.
-    UnexpectedArg { cmd: String, arg: String },
+    UnexpectedArg { cmd: &'static str, arg: String },
     /// A flag's value is missing or unusable (non-numeric, negative,
     /// or below the flag's minimum).
     BadValue {
@@ -157,8 +236,11 @@ enum CliError {
         given: String,
         want: &'static str,
     },
-    /// `repro trace|profile|optimize` needs a benchmark and a variant.
-    MissingBenchVariant { cmd: &'static str },
+    /// The command's required positional words are missing or wrong.
+    MissingArgs {
+        cmd: &'static str,
+        args: &'static str,
+    },
     /// The benchmark abbreviation is not in Table 1.
     UnknownBench(String),
     /// The build-variant name is not one of the four builds.
@@ -166,20 +248,14 @@ enum CliError {
     /// The crashfuzz leg name is not a known slice of the matrix.
     UnknownLeg(String),
     /// A flag given to a command that does not take it.
-    FlagUnsupported { flag: &'static str, cmd: String },
+    FlagUnsupported {
+        flag: &'static str,
+        cmd: &'static str,
+    },
     /// `--resume` without `--journal`.
     ResumeNeedsJournal,
-    /// `--resume` named a journal file that does not exist.
-    ResumeMissingJournal(String),
-    /// `--journal` named an existing non-empty journal without
-    /// `--resume` (mixing two campaigns in one manifest is always a
-    /// mistake; replaying one must be explicit).
-    JournalNeedsResume(String),
-    /// The journal could not be opened (the wrapped
-    /// [`spp_bench::JournalError`] rendering).
-    Journal(String),
-    /// `repro journal` needs the `check` subcommand and a path.
-    MissingJournalCheckArgs,
+    /// The journal could not be opened or read.
+    Study(StudyError),
     /// The trace cache grew past `--trace-mem-cap` (the wrapped
     /// [`spp_bench::TraceMemCap`] rendering).
     TraceMemCap(String),
@@ -188,6 +264,21 @@ enum CliError {
     /// A study's only cell exhausted its retries (the wrapped
     /// [`spp_bench::CellFailure`] reason).
     CellFailed { key: String, reason: String },
+}
+
+impl CliError {
+    /// Whether argv alone is at fault, so the usage block follows the
+    /// diagnostic. Failures that depend on files or on the run itself
+    /// stay one line.
+    fn is_usage(&self) -> bool {
+        !matches!(
+            self,
+            CliError::Study(_)
+                | CliError::TraceMemCap(_)
+                | CliError::TraceOut { .. }
+                | CliError::CellFailed { .. }
+        )
+    }
 }
 
 impl fmt::Display for CliError {
@@ -202,12 +293,7 @@ impl fmt::Display for CliError {
             CliError::BadValue { flag, given, want } => {
                 write!(f, "{flag} {given:?} is invalid (want {want})")
             }
-            CliError::MissingBenchVariant { cmd } => {
-                write!(
-                    f,
-                    "{cmd} needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>"
-                )
-            }
+            CliError::MissingArgs { cmd, args } => write!(f, "{cmd} needs {args}"),
             CliError::UnknownBench(b) => {
                 write!(f, "unknown benchmark {b:?} (want GH|HM|LL|SS|AT|BT|RT)")
             }
@@ -218,20 +304,19 @@ impl fmt::Display for CliError {
                 write!(f, "unknown crashfuzz leg {l:?} (want all|log|logp|logpsf)")
             }
             CliError::FlagUnsupported { flag, cmd } => {
-                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, profile, multicore, litmus, kv, optimize; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --trace-mem-cap: any trace-recording command)")
-            }
-            CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
-            CliError::ResumeMissingJournal(p) => {
-                write!(f, "--resume: journal {p:?} does not exist")
-            }
-            CliError::JournalNeedsResume(p) => {
+                let takers: Vec<&str> = COMMANDS
+                    .iter()
+                    .filter(|c| c.flags.iter().any(|g| g.name() == *flag))
+                    .map(|c| c.word)
+                    .collect();
                 write!(
                     f,
-                    "journal {p:?} already has entries; pass --resume to replay it or pick a fresh path"
+                    "{flag} is not supported by {cmd:?} (commands that take it: {})",
+                    takers.join(", ")
                 )
             }
-            CliError::Journal(e) => f.write_str(e),
-            CliError::MissingJournalCheckArgs => f.write_str("journal needs check <PATH>"),
+            CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
+            CliError::Study(e) => write!(f, "{e}"),
             CliError::TraceMemCap(e) => f.write_str(e),
             CliError::TraceOut { path, reason } => write!(f, "--trace-out {path:?}: {reason}"),
             CliError::CellFailed { key, reason } => {
@@ -245,17 +330,17 @@ impl fmt::Display for CliError {
 }
 
 /// A parsed invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Cli {
     cmd: String,
     exp: Experiment,
     jobs: usize,
-    journal: Option<String>,
-    resume: bool,
-    storm_bound: Option<u64>,
-    model_knob: Option<ModelKnob>,
+    study: StudyCli,
+    model_knob: ModelKnob,
     trace_out: Option<String>,
     trace_mem_cap: Option<u64>,
+    /// Every flag given, in argv order.
+    given: Vec<Flag>,
     positional: Vec<String>,
 }
 
@@ -263,221 +348,150 @@ struct Cli {
 /// a `--` word that is not a known flag is an error, and all remaining
 /// words are positional arguments for the command.
 fn parse_args(args: &[String]) -> Result<Cli, CliError> {
-    let Some(cmd) = args.first().cloned() else {
-        return Err(CliError::NoCommand);
+    let (cmd, rest) = args.split_first().ok_or(CliError::NoCommand)?;
+    let mut cli = Cli {
+        cmd: cmd.clone(),
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        ..Cli::default()
     };
-    let mut exp = Experiment::default();
-    let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut journal: Option<String> = None;
-    let mut resume = false;
-    let mut storm_bound: Option<u64> = None;
-    let mut model_knob: Option<ModelKnob> = None;
-    let mut trace_out: Option<String> = None;
-    let mut trace_mem_cap: Option<u64> = None;
-    let mut positional: Vec<String> = Vec::new();
-    let mut i = 1;
-    fn flag_value(
-        flag: &'static str,
-        args: &[String],
-        i: usize,
-        min: u64,
-        want: &'static str,
-    ) -> Result<u64, CliError> {
-        let given = args.get(i + 1).cloned().unwrap_or_default();
-        match given.parse::<u64>() {
-            Ok(v) if v >= min => Ok(v),
-            _ => Err(CliError::BadValue { flag, given, want }),
+    let mut i = 0;
+    while let Some(word) = rest.get(i) {
+        i += 1;
+        if !word.starts_with("--") {
+            cli.positional.push(word.clone());
+            continue;
         }
-    }
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                exp.scale = flag_value("--scale", args, i, 1, "an integer of at least 1")?;
-                i += 2;
+        let flag = FLAGS
+            .into_iter()
+            .find(|f| f.name() == word)
+            .ok_or_else(|| CliError::UnknownFlag(word.clone()))?;
+        cli.given.push(flag);
+        let next = rest.get(i).map(String::as_str);
+        let bad = || CliError::BadValue {
+            flag: flag.name(),
+            given: next.unwrap_or_default().to_string(),
+            want: flag.spec().2,
+        };
+        let int = |min: u64| {
+            next.and_then(|v| v.parse().ok())
+                .filter(|&v| v >= min)
+                .ok_or_else(bad)
+        };
+        // A path never starts with `--`, so that word is the next flag.
+        let path = || {
+            next.filter(|p| !p.is_empty() && !p.starts_with("--"))
+                .map(String::from)
+                .ok_or_else(bad)
+        };
+        match flag {
+            Flag::Scale => cli.exp.scale = int(1)?,
+            Flag::Seed => cli.exp.seed = int(0)?,
+            Flag::Jobs => cli.jobs = int(1)? as usize,
+            Flag::TraceMemCap => cli.trace_mem_cap = Some(int(1)?),
+            Flag::ModelKnob => cli.model_knob = next.and_then(ModelKnob::parse).ok_or_else(bad)?,
+            Flag::TraceOut => cli.trace_out = Some(path()?),
+            // Bare `--journal` (end of args, or another flag next) uses
+            // the conventional manifest location; an explicit empty
+            // path is still an error.
+            Flag::Journal if next.is_none_or(|p| p.starts_with("--")) => {
+                cli.study.journal = Some(spp_bench::journal::DEFAULT_JOURNAL_PATH.to_string());
+                continue;
             }
-            "--seed" => {
-                exp.seed = flag_value("--seed", args, i, 0, "a non-negative integer")?;
-                i += 2;
-            }
-            "--jobs" => {
-                jobs = flag_value("--jobs", args, i, 1, "an integer of at least 1")? as usize;
-                i += 2;
-            }
-            "--journal" => {
-                // The path is optional: bare `--journal` (end of args,
-                // or another flag next) uses the conventional manifest
-                // location. An explicit empty path is still an error.
-                match args.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        if next.is_empty() {
-                            return Err(CliError::BadValue {
-                                flag: "--journal",
-                                given: String::new(),
-                                want: "a file path",
-                            });
-                        }
-                        journal = Some(next.clone());
-                        i += 2;
-                    }
-                    _ => {
-                        journal = Some(spp_bench::journal::DEFAULT_JOURNAL_PATH.to_string());
-                        i += 1;
-                    }
-                }
-            }
-            "--resume" => {
-                resume = true;
-                i += 1;
-            }
-            "--trace-out" => match args.get(i + 1) {
-                Some(next) if !next.is_empty() && !next.starts_with("--") => {
-                    trace_out = Some(next.clone());
-                    i += 2;
-                }
-                _ => {
-                    return Err(CliError::BadValue {
-                        flag: "--trace-out",
-                        given: args.get(i + 1).cloned().unwrap_or_default(),
-                        want: "a file path",
-                    })
-                }
-            },
-            "--storm-bound" => {
-                // A zero budget would degrade a core on its first
-                // legitimate conflict rollback, so the floor is 1.
-                storm_bound = Some(flag_value(
-                    "--storm-bound",
-                    args,
-                    i,
-                    1,
-                    "an integer of at least 1",
-                )?);
-                i += 2;
-            }
-            "--trace-mem-cap" => {
-                // Zero would trip before the first recording; the
-                // smallest honest budget is one byte.
-                trace_mem_cap = Some(flag_value(
-                    "--trace-mem-cap",
-                    args,
-                    i,
-                    1,
-                    "a byte count of at least 1",
-                )?);
-                i += 2;
-            }
-            "--model-knob" => {
-                let given = args.get(i + 1).cloned().unwrap_or_default();
-                model_knob = Some(ModelKnob::parse(&given).ok_or(CliError::BadValue {
-                    flag: "--model-knob",
-                    given,
-                    want: "honest or clflushopt-po",
-                })?);
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return Err(CliError::UnknownFlag(flag.to_string())),
-            other => {
-                positional.push(other.to_string());
-                i += 1;
+            Flag::Journal => cli.study.journal = Some(path()?),
+            Flag::Resume => {
+                cli.study.resume = true;
+                continue;
             }
         }
+        i += 1;
     }
-    Ok(Cli {
-        cmd,
-        exp,
-        jobs,
-        journal,
-        resume,
-        storm_bound,
-        model_knob,
-        trace_out,
-        trace_mem_cap,
-        positional,
-    })
+    Ok(cli)
 }
 
-/// Rejects journal flags on commands that cannot honor them, and
-/// contradictory combinations, before any work starts.
-fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
-    let journaled = matches!(
-        cli.cmd.as_str(),
-        "faultsim" | "profile" | "multicore" | "litmus" | "kv" | "optimize"
-    );
-    if cli.journal.is_some() && !journaled {
-        return Err(CliError::FlagUnsupported {
-            flag: "--journal",
-            cmd: cli.cmd.clone(),
-        });
+/// Everything argv alone can get wrong, found before any work starts:
+/// an unknown command, a surplus word, a flag the command does not
+/// take, `--resume` without `--journal`, and missing words.
+fn check(cli: &Cli) -> Result<&'static Command, CliError> {
+    let found = COMMANDS.iter().find(|c| c.word == cli.cmd);
+    let c = found.ok_or_else(|| CliError::UnknownCommand(cli.cmd.clone()))?;
+    let (cmd, args) = (c.word, c.args);
+    let want: Vec<&str> = args.split_whitespace().collect();
+    if let Some(arg) = cli.positional.get(want.len()).cloned() {
+        return Err(CliError::UnexpectedArg { cmd, arg });
     }
-    if cli.resume && !journaled {
-        return Err(CliError::FlagUnsupported {
-            flag: "--resume",
-            cmd: cli.cmd.clone(),
-        });
+    let refused =
+        |f: &Flag| cli.given.contains(f) && !EVERY_COMMAND.contains(f) && !c.flags.contains(f);
+    if let Some(flag) = FLAGS.into_iter().find(refused).map(Flag::name) {
+        return Err(CliError::FlagUnsupported { flag, cmd });
     }
-    if cli.storm_bound.is_some() && cli.cmd != "multicore" {
-        return Err(CliError::FlagUnsupported {
-            flag: "--storm-bound",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    if cli.model_knob.is_some() && cli.cmd != "litmus" {
-        return Err(CliError::FlagUnsupported {
-            flag: "--model-knob",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    if cli.trace_out.is_some() && cli.cmd != "profile" {
-        return Err(CliError::FlagUnsupported {
-            flag: "--trace-out",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    // `trace` replays one recording to stdout and `journal` never
-    // simulates: neither routes traces through the harness cache the
-    // cap governs.
-    if cli.trace_mem_cap.is_some() && matches!(cli.cmd.as_str(), "trace" | "journal") {
-        return Err(CliError::FlagUnsupported {
-            flag: "--trace-mem-cap",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    if cli.resume && cli.journal.is_none() {
+    if cli.study.resume && cli.study.journal.is_none() {
         return Err(CliError::ResumeNeedsJournal);
     }
-    Ok(())
-}
-
-/// Rejects an unknown command, and positional words beyond those the
-/// command takes, before any work starts. Too few words are the
-/// command's own typed error (`trace needs ...`).
-fn check_positionals(cli: &Cli) -> Result<(), CliError> {
-    let takes = match cli.cmd.as_str() {
-        "trace" | "profile" | "optimize" | "journal" => 2,
-        "crashfuzz" => 1,
-        "all" | "table1" | "table2" | "table3" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12"
-        | "fig13" | "fig14" | "ablation" | "incremental" | "flushmode" | "json" | "multicore"
-        | "litmus" | "kv" | "faultsim" => 0,
-        _ => return Err(CliError::UnknownCommand(cli.cmd.clone())),
+    let present = |(i, w): (usize, &&str)| match cli.positional.get(i) {
+        _ if w.starts_with('[') => true,
+        Some(got) => w.starts_with('<') || got.as_str() == *w,
+        None => false,
     };
-    match cli.positional.get(takes) {
-        Some(arg) => Err(CliError::UnexpectedArg {
-            cmd: cli.cmd.clone(),
-            arg: arg.clone(),
-        }),
-        None => Ok(()),
+    if !want.iter().enumerate().all(present) {
+        return Err(CliError::MissingArgs { cmd, args });
     }
+    Ok(c)
 }
 
-/// The CLI rendering of a [`StudyError`]: the study façade's journal
-/// discipline maps 1:1 onto the typed CLI diagnostics.
-impl From<StudyError> for CliError {
-    fn from(e: StudyError) -> Self {
-        match e {
-            StudyError::ResumeMissingJournal(p) => CliError::ResumeMissingJournal(p),
-            StudyError::JournalNeedsResume(p) => CliError::JournalNeedsResume(p),
-            other => CliError::Journal(other.to_string()),
-        }
+/// One checked invocation, as every runner sees it.
+struct Ctx {
+    cmd: &'static Command,
+    cli: Cli,
+    harness: Harness,
+    suite: OnceCell<Vec<BenchRun>>,
+}
+
+impl Ctx {
+    fn new(cli: Cli) -> Result<Ctx, CliError> {
+        let cmd = check(&cli)?;
+        let harness = Harness::new(cli.exp, cli.jobs);
+        harness.set_trace_mem_cap(cli.trace_mem_cap);
+        Ok(Ctx {
+            cmd,
+            cli,
+            harness,
+            suite: OnceCell::new(),
+        })
+    }
+
+    /// Runs the command, then the `--trace-mem-cap` gate.
+    fn run(&self) -> Result<ExitCode, CliError> {
+        let code = (self.cmd.run)(self)?;
+        check_trace_mem(&self.harness, code)
+    }
+
+    /// The Fig. 8-12/14 sweep, run on first use and shared after.
+    fn suite(&self) -> &[BenchRun] {
+        self.suite.get_or_init(|| {
+            let (Experiment { scale, seed }, jobs) = (self.cli.exp, self.cli.jobs);
+            eprintln!("# running suite at scale 1/{scale} (seed {seed:#x}, {jobs} jobs)...");
+            staged("suite", 35, || self.harness.run_suite())
+        })
+    }
+
+    /// Renders a section from the harness as a timed stage.
+    fn timed(&self, label: &'static str, sims: usize, render: fn(&Harness) -> String) -> String {
+        staged(label, sims, || render(&self.harness))
+    }
+
+    /// Opens the command's journal (if any) for a study whose stage
+    /// label is the command word; `sims` sizes the stderr rate line.
+    fn study(&self, sims: usize) -> Result<StudyRunner, CliError> {
+        StudyRunner::new(self.cmd.word, sims, &self.cli.study).map_err(CliError::Study)
+    }
+
+    /// The `<BENCH> <VARIANT>` words of `trace`, `profile` and
+    /// `optimize`.
+    fn bench_variant(&self) -> Result<(BenchId, Variant), CliError> {
+        let word = |i: usize| self.cli.positional.get(i).cloned().unwrap_or_default();
+        let id = parse_bench(&word(0)).ok_or_else(|| CliError::UnknownBench(word(0)))?;
+        let variant = parse_variant(&word(1)).ok_or_else(|| CliError::UnknownVariant(word(1)))?;
+        Ok((id, variant))
     }
 }
 
@@ -493,179 +507,32 @@ fn verdict(ok: bool) -> ExitCode {
 /// The process's peak resident set size in KiB, read from
 /// `/proc/self/status` (`VmHWM`); 0 where that interface is missing.
 fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|n| n.parse().ok())
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
+    hwm.and_then(|kb| kb.split_whitespace().next()?.parse().ok())
         .unwrap_or(0)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args).and_then(run) {
+    match parse_args(&args).and_then(Ctx::new).and_then(|c| c.run()) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("repro: {e}");
-            eprintln!("{USAGE}");
+            if e.is_usage() {
+                eprint!("{}", usage());
+            }
             ExitCode::FAILURE
         }
     }
 }
 
-fn run(cli: Cli) -> Result<ExitCode, CliError> {
-    check_positionals(&cli)?;
-    check_flag_scope(&cli)?;
-    let Cli {
-        cmd,
-        exp,
-        jobs,
-        journal,
-        resume,
-        storm_bound,
-        model_knob,
-        trace_out,
-        trace_mem_cap,
-        positional,
-    } = cli;
-    if cmd == "journal" {
-        // Pure file inspection: no harness, no simulations.
-        return journal_cmd(&positional);
+/// The per-key byte footprint of every recorded trace, heaviest first,
+/// on stderr.
+fn dump_trace_bytes(harness: &Harness) {
+    for (k, bytes) in harness.trace_bytes_by_key() {
+        eprintln!("#   {bytes} bytes {}/{}/{}", k.id, k.variant, k.flush_mode);
     }
-    let study = StudyCli { journal, resume };
-    let harness = Harness::new(exp, jobs);
-    harness.set_trace_mem_cap(trace_mem_cap);
-    let t0 = Instant::now();
-
-    let needs_suite = matches!(
-        cmd.as_str(),
-        "all" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "fig14" | "json"
-    );
-    let runs = if needs_suite {
-        eprintln!(
-            "# running suite at scale 1/{} (seed {:#x}, {} jobs)...",
-            exp.scale, exp.seed, jobs
-        );
-        staged("suite", 35, || harness.run_suite())
-    } else {
-        Vec::new()
-    };
-
-    match cmd.as_str() {
-        "all" => {
-            print!("{}", report::table1(&exp));
-            print!("{}", report::table2());
-            print!("{}", report::table3());
-            print!("{}", report::fig8(&runs));
-            print!("{}", report::fig9(&runs));
-            print!("{}", report::fig10(&runs));
-            print!("{}", report::fig11(&runs));
-            print!("{}", report::fig12(&runs));
-            print!(
-                "{}",
-                staged("fig13 SSB sweep", 49, || report::fig13(&harness))
-            );
-            print!("{}", report::fig14(&runs));
-            print!("{}", staged("ablation", 42, || report::ablation(&harness)));
-            print!(
-                "{}",
-                staged("logging comparison", 4, || report::incremental(&harness))
-            );
-            print!(
-                "{}",
-                staged("flush-mode ablation", 18, || report::flushmode(&harness))
-            );
-            print!(
-                "{}",
-                staged("multicore study", 24, || report::multicore(&harness))
-            );
-            let s = harness.cache_stats();
-            eprintln!(
-                "# trace cache: {} recordings, {} cached replays, {} keys, {} bytes",
-                s.recordings, s.hits, s.entries, s.bytes
-            );
-            if trace_mem_cap.is_some() {
-                // A cap is in force: show where the bytes went,
-                // heaviest trace first, so the budget can be tuned.
-                for (k, bytes) in harness.trace_bytes_by_key() {
-                    eprintln!("#   {bytes} bytes {}/{}/{}", k.id, k.variant, k.flush_mode);
-                }
-            }
-            // The harness contract: a trace is recorded at most once per
-            // key, no matter how many figures replay it.
-            assert_eq!(
-                s.recordings, s.entries,
-                "each (bench, variant, scale, seed, flushmode) trace must be recorded exactly once"
-            );
-            eprintln!(
-                "# total: {:.2}s ({} jobs), peak rss {} KiB",
-                t0.elapsed().as_secs_f64(),
-                jobs,
-                peak_rss_kb()
-            );
-        }
-        "table1" => print!("{}", report::table1(&exp)),
-        "table2" => print!("{}", report::table2()),
-        "table3" => print!("{}", report::table3()),
-        "fig8" => print!("{}", report::fig8(&runs)),
-        "fig9" => print!("{}", report::fig9(&runs)),
-        "fig10" => print!("{}", report::fig10(&runs)),
-        "fig11" => print!("{}", report::fig11(&runs)),
-        "fig12" => print!("{}", report::fig12(&runs)),
-        "fig13" => print!(
-            "{}",
-            staged("fig13 SSB sweep", 49, || report::fig13(&harness))
-        ),
-        "fig14" => print!("{}", report::fig14(&runs)),
-        "ablation" => print!("{}", staged("ablation", 42, || report::ablation(&harness))),
-        "incremental" => {
-            print!(
-                "{}",
-                staged("logging comparison", 4, || report::incremental(&harness))
-            );
-        }
-        "flushmode" => {
-            print!(
-                "{}",
-                staged("flush-mode ablation", 18, || report::flushmode(&harness))
-            );
-        }
-        "json" => println!("{}", spp_bench::json::suite_json(&runs)),
-        "multicore" => {
-            let code = multicore_cmd(&harness, &study, storm_bound)?;
-            return check_trace_mem(&harness, code);
-        }
-        "litmus" => {
-            let code = litmus_cmd(&harness, &study, model_knob)?;
-            return check_trace_mem(&harness, code);
-        }
-        "kv" => {
-            let code = kv_cmd(&harness, &study)?;
-            return check_trace_mem(&harness, code);
-        }
-        "optimize" => {
-            let code = optimize_cmd(&harness, &positional, &study)?;
-            return check_trace_mem(&harness, code);
-        }
-        "trace" => return trace_cmd(&positional, &exp).map(|()| ExitCode::SUCCESS),
-        "crashfuzz" => {
-            let code = crashfuzz_cmd(&harness, &positional)?;
-            return check_trace_mem(&harness, code);
-        }
-        "faultsim" => {
-            let code = faultsim_cmd(&harness, &study)?;
-            return check_trace_mem(&harness, code);
-        }
-        "profile" => {
-            let code = profile_cmd(&harness, &positional, &study, trace_out.as_deref())?;
-            return check_trace_mem(&harness, code);
-        }
-        _ => return Err(CliError::UnknownCommand(cmd)),
-    }
-    check_trace_mem(&harness, ExitCode::SUCCESS)
 }
 
 /// The `--trace-mem-cap` gate, applied after a command's work: a
@@ -677,86 +544,114 @@ fn check_trace_mem(harness: &Harness, code: ExitCode) -> Result<ExitCode, CliErr
     match harness.trace_mem_exceeded() {
         None => Ok(code),
         Some(e) => {
-            for (k, bytes) in harness.trace_bytes_by_key() {
-                eprintln!("#   {bytes} bytes {}/{}/{}", k.id, k.variant, k.flush_mode);
-            }
+            dump_trace_bytes(harness);
             Err(CliError::TraceMemCap(e.to_string()))
         }
     }
 }
 
-/// `repro kv [--journal PATH [--resume]]`: the
-/// crash-recoverable KV storage-engine study — WAL + checkpointed
-/// B+tree under a mixed YCSB-style load: baseline-vs-SP cycles across
-/// a checkpoint-interval sweep, crashfuzz at every persist boundary
-/// (clean under Log+P+Sf, witness-minimized under Log, and a
-/// must-fail leg proving an elided WAL checksum is caught), plus the
-/// bounded-memory streamed leg. Prints the per-cell tables and one
-/// `specpersist/kv-v1` JSON line. With a journal, completed cells
-/// are recorded and `--resume` replays them byte-identically. Exits
-/// non-zero if any cell failed its oracle or the SP legs regressed.
-fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
-    use spp_bench::kv::{run_kv_opts, KvCellSpec};
-    let runner = StudyRunner::new("kv", KvCellSpec::all().len(), study)?;
-    Ok(verdict(runner.run(|j| run_kv_opts(harness, j)).ok()))
+/// `repro <section>`: print one section of the report.
+fn print_section(c: &Ctx) -> Result<ExitCode, CliError> {
+    if let Some(render) = c.cmd.section {
+        print!("{}", render(c, c.cmd.word));
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `repro optimize <BENCH> <VARIANT> [--journal PATH [--resume]]`:
-/// the persist-path trace optimizer — analyze one recorded trace for
-/// redundant persist operations, elide them, replay the optimized
-/// trace on both pipeline cores x {baseline, SP} with the spp-obs
-/// probe attached, and prove the plan safe by crashfuzzing every
-/// persist boundary of the optimized trace (plus the inverted leg
+/// `repro all`: every table and figure plus the ablation, logging,
+/// flush-mode and multicore sections, in [`COMMANDS`] order; then the
+/// trace-cache accounting, total time and peak RSS on stderr.
+fn all(c: &Ctx) -> Result<ExitCode, CliError> {
+    let t0 = Instant::now();
+    for cmd in COMMANDS {
+        if let Some(render) = cmd.section {
+            print!("{}", render(c, cmd.word));
+        }
+    }
+    let s = c.harness.cache_stats();
+    eprintln!(
+        "# trace cache: {} recordings, {} cached replays, {} keys, {} bytes",
+        s.recordings, s.hits, s.entries, s.bytes
+    );
+    if c.cli.trace_mem_cap.is_some() {
+        // A cap is in force: show where the bytes went, heaviest trace
+        // first, so the budget can be tuned.
+        dump_trace_bytes(&c.harness);
+    }
+    // The harness contract: a trace is recorded at most once per key,
+    // no matter how many figures replay it.
+    assert_eq!(
+        s.recordings, s.entries,
+        "each (bench, variant, scale, seed, flushmode) trace must be recorded exactly once"
+    );
+    let (secs, jobs, rss) = (t0.elapsed().as_secs_f64(), c.cli.jobs, peak_rss_kb());
+    eprintln!("# total: {secs:.2}s ({jobs} jobs), peak rss {rss} KiB");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `repro json`: run the suite and print it as one JSON document.
+fn json(c: &Ctx) -> Result<ExitCode, CliError> {
+    println!("{}", spp_bench::json::suite_json(c.suite()));
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `repro kv`: the crash-recoverable KV storage-engine study — WAL +
+/// checkpointed B+tree under a mixed YCSB-style load: baseline-vs-SP
+/// cycles across a checkpoint-interval sweep, crashfuzz at every
+/// persist boundary (clean under Log+P+Sf, witness-minimized under Log,
+/// and a must-fail leg proving an elided WAL checksum is caught), plus
+/// the bounded-memory streamed leg. Prints the per-cell tables and one
+/// `specpersist/kv-v1` JSON line. Exits non-zero if any cell failed its
+/// oracle or the SP legs regressed.
+fn kv(c: &Ctx) -> Result<ExitCode, CliError> {
+    use spp_bench::kv::{run_kv_opts, KvCellSpec};
+    let rep = c
+        .study(KvCellSpec::all().len())?
+        .run(|j| run_kv_opts(&c.harness, j));
+    Ok(verdict(rep.ok()))
+}
+
+/// `repro optimize <BENCH> <VARIANT>`: the persist-path trace optimizer
+/// — analyze one recorded trace for redundant persist operations (the
+/// same line flushed twice in an epoch, flushes never covered by a
+/// persist barrier, fences with nothing to order), elide them, replay
+/// the optimized trace on both pipeline cores x {baseline, SP} with the
+/// spp-obs probe attached, and prove the plan safe by crashfuzzing
+/// every persist boundary of the optimized trace (plus the inverted leg
 /// eliding a required flush, which the oracle must catch). Prints the
 /// before/after tables and one `specpersist/optimize-v1` JSON line.
-/// With a journal, completed cells are recorded and `--resume` replays
-/// them byte-identically. Exits non-zero if any leg fails.
-fn optimize_cmd(
-    harness: &Harness,
-    positional: &[String],
-    study: &StudyCli,
-) -> Result<ExitCode, CliError> {
+/// Exits non-zero if any leg fails.
+fn optimize(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::optimize::{run_optimize_opts, OptimizeCellSpec};
-    let (id, variant) = bench_variant("optimize", positional)?;
-    let runner = StudyRunner::new("optimize", OptimizeCellSpec::all().len(), study)?;
-    Ok(verdict(
-        runner
-            .run(|j| run_optimize_opts(harness, id, variant, j))
-            .ok(),
-    ))
+    let (id, variant) = c.bench_variant()?;
+    let runner = c.study(OptimizeCellSpec::all().len())?;
+    let rep = runner.run(|j| run_optimize_opts(&c.harness, id, variant, j));
+    Ok(verdict(rep.ok()))
 }
 
 /// `repro journal check <PATH>`: offline integrity walk of a result
 /// manifest. Re-reads every line, verifying the per-entry checksum
 /// and envelope, and reports each damaged line (bit flip, truncation,
-/// torn tail, bad schema) on stdout. As with a resume, a torn final
-/// line is sealed so later appends cannot merge into it. Typed exit
-/// codes: 0 when every line verified, 2 when damage was found, 1 when
-/// the file is missing or unreadable.
-fn journal_cmd(positional: &[String]) -> Result<ExitCode, CliError> {
-    let (Some("check"), Some(path)) = (positional.first().map(String::as_str), positional.get(1))
-    else {
-        return Err(CliError::MissingJournalCheckArgs);
-    };
-    Ok(if journal_check(path)? == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
+/// torn tail, bad schema) on stdout. It never creates or changes the
+/// file. Exit codes: 0 when every line verified, 2 when damage was
+/// found, 1 when the file is missing or unreadable.
+fn journal(c: &Ctx) -> Result<ExitCode, CliError> {
+    Ok(match journal_check(&c.cli.positional[1])? {
+        0 => ExitCode::SUCCESS,
+        _ => ExitCode::from(2),
     })
 }
 
-/// The walk behind [`journal_cmd`]: verifies every line, prints one
-/// line per damaged entry plus a summary, and returns the damaged-line
-/// count.
+/// The walk behind [`journal`]: verifies every line, prints one line per
+/// damaged entry plus a summary, and returns the damaged-line count.
 fn journal_check(path: &str) -> Result<usize, CliError> {
+    let unreadable = |e: String| CliError::Study(StudyError::Journal(e));
     // `Journal::open` creates absent files; a checker must not.
     if !std::path::Path::new(path).is_file() {
-        return Err(CliError::Journal(format!(
-            "journal {path:?} does not exist"
-        )));
+        return Err(unreadable(format!("journal {path:?} does not exist")));
     }
-    let (entries, damage) = spp_bench::Journal::verify(std::path::Path::new(path))
-        .map_err(|e| CliError::Journal(e.to_string()))?;
+    let verified = Journal::verify(std::path::Path::new(path));
+    let (entries, damage) = verified.map_err(|e| unreadable(e.to_string()))?;
     for e in &damage {
         println!("journal check: {e}");
     }
@@ -767,134 +662,103 @@ fn journal_check(path: &str) -> Result<usize, CliError> {
     Ok(damage.len())
 }
 
-/// `repro crashfuzz [all|log|logp|logpsf]`: run the crash-consistency
-/// fuzz matrix and print the text report plus one JSON line. Exits
-/// non-zero when a must-pass cell violated its oracle, a must-fail
-/// cell found no inconsistency, or the SP differential diverged.
-fn crashfuzz_cmd(harness: &Harness, positional: &[String]) -> Result<ExitCode, CliError> {
+/// `repro crashfuzz [all|log|logp|logpsf]`: crash-consistency fuzzing,
+/// the workload-level half of the persist-semantics story (litmus is
+/// the model-level half). Log+P+Sf must recover at every crash point
+/// and reordering; Log and Log+P must each yield a minimized
+/// inconsistency witness. Prints the text report plus one JSON line and
+/// exits non-zero when a must-pass cell violated its oracle, a
+/// must-fail cell found no inconsistency, or the SP differential
+/// diverged.
+fn crashfuzz(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::crashfuzz::{run_crashfuzz, Leg};
-    let leg = match positional.first() {
+    let leg = match c.cli.positional.first() {
         None => Leg::All,
         Some(s) => Leg::parse(s).ok_or_else(|| CliError::UnknownLeg(s.clone()))?,
     };
-    let rep = staged("crashfuzz", 0, || run_crashfuzz(harness, leg));
+    let rep = staged(c.cmd.word, 0, || run_crashfuzz(&c.harness, leg));
     print!("{}", rep.render_text());
     println!("{}", rep.render_json());
-    Ok(if rep.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(verdict(rep.ok()))
 }
 
-/// `repro faultsim [--journal PATH [--resume]]`: run the
-/// fault-injection matrix (benchmark x variant x plan, both cores)
-/// plus the watchdog-detection leg on the supervised pool and print
-/// the text report and one JSON line. With a journal, completed cells
-/// are recorded and `--resume` replays them — the resumed stdout is
-/// byte-identical to an uninterrupted run's. Exits non-zero if a
-/// faulted run changed committed state or a crash verdict, a cell
-/// exhausted its retry budget, a plan never fired, or the watchdog
-/// failed to convert a wedged run into a typed error.
-fn faultsim_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
-    use spp_bench::faultsim::{run_faultsim_opts, FaultsimOpts};
-    let runner = StudyRunner::new("faultsim", 7 * 4 * 2 * 3 + 1, study)?;
-    let rep = runner.run(|j| {
-        run_faultsim_opts(
-            harness,
-            FaultsimOpts {
-                journal: j,
-                ..FaultsimOpts::default()
-            },
-        )
+/// `repro faultsim`: deterministic hardware fault injection — every
+/// benchmark x variant x fault plan, on both cores, must commit exactly
+/// the fault-free architectural state (only cycle counts may move),
+/// crash verdicts must hold, and the forward-progress watchdog must
+/// convert a wedged run into a typed error. Prints the text report and
+/// one JSON line; exits non-zero on any divergence, a cell that
+/// exhausted its retries, or a plan that never fired.
+fn faultsim(c: &Ctx) -> Result<ExitCode, CliError> {
+    use spp_bench::faultsim::{run_faultsim_opts, FaultsimOpts, SIMS};
+    let rep = c.study(SIMS)?.run(|journal| {
+        let opts = FaultsimOpts {
+            journal,
+            ..FaultsimOpts::default()
+        };
+        run_faultsim_opts(&c.harness, opts)
     });
     Ok(verdict(rep.ok()))
 }
 
-/// `repro multicore [--journal PATH [--resume]]`: the shared-data
-/// multi-core scaling study — Treiber-style stack and MS-style queue
-/// over one coherent memory system, 1..4 cores x {baseline, SP256} x
-/// {contended, disjoint}. Prints the scaling tables and one
-/// `specpersist/multicore-v1` JSON line. With a journal, completed
-/// cells are recorded and `--resume` replays them byte-identically.
-/// Exits non-zero if any cell degraded, the contended SP legs produced
-/// no BLT conflicts, or a disjoint leg conflicted. `--storm-bound`
-/// tightens (or loosens) each core's conflict-storm rollback budget.
-fn multicore_cmd(
-    harness: &Harness,
-    study: &StudyCli,
-    storm_bound: Option<u64>,
-) -> Result<ExitCode, CliError> {
-    use spp_bench::multicore::{run_multicore_opts, MulticoreOpts};
-    let runner = StudyRunner::new("multicore", 24, study)?;
-    let rep = runner.run(|j| {
-        run_multicore_opts(
-            harness,
-            MulticoreOpts {
-                journal: j,
-                storm_bound,
-            },
-        )
-    });
+/// `repro multicore`: the shared-data multi-core scaling study —
+/// Treiber-style stack and MS-style queue over one coherent memory
+/// system, 1..4 cores x {baseline, SP256} x {contended, disjoint},
+/// reporting worst-core cycles/op plus BLT conflict/rollback
+/// accounting. Prints the scaling tables and one
+/// `specpersist/multicore-v1` JSON line. Exits non-zero if any cell
+/// degraded, the contended SP legs produced no BLT conflicts, or a
+/// disjoint leg conflicted.
+fn multicore(c: &Ctx) -> Result<ExitCode, CliError> {
+    let rep = c
+        .study(CellSpec::all().len())?
+        .run(|j| run_multicore_opts(&c.harness, j));
     Ok(verdict(rep.ok()))
 }
 
-/// `repro litmus [--journal PATH [--resume]] [--model-knob K]`: Px86
-/// persistency-model validation — every litmus program x flush mode is
-/// one supervised cell checked against the executable reference model
-/// on all seven legs (CrashSim, both cores x {baseline, SP}, and the
-/// SP differentials). Prints the per-program table and one
-/// `specpersist/litmus-v1` JSON line. With a journal, completed cells
-/// (including failed ones, witness and all) replay byte-identically.
-/// The hidden `--model-knob` weakens one model rule so CI can prove
-/// the checker actually fails when the model is wrong. Exits non-zero
-/// if any leg reached a forbidden state.
-fn litmus_cmd(
-    harness: &Harness,
-    study: &StudyCli,
-    model_knob: Option<ModelKnob>,
-) -> Result<ExitCode, CliError> {
+/// `repro litmus`: Px86 persistency-model validation — every litmus
+/// program (the catalog plus seeded generated programs at generous
+/// scales) x flush mode is one supervised cell, checking every
+/// reachable post-crash state of the real stack (CrashSim at each
+/// persist boundary, both pipeline cores x {baseline, SP}) against the
+/// executable reference model, with the SP differential proving
+/// speculation never widens a reachable set. Prints the per-program
+/// table and one `specpersist/litmus-v1` JSON line; failed cells replay
+/// from a journal witness and all. The hidden `--model-knob` weakens
+/// one model rule so CI can prove the checker actually fails when the
+/// model is wrong. Exits non-zero if any leg reached a forbidden state.
+fn litmus(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::litmus::{litmus_programs, run_litmus_opts, LitmusOpts};
-    let sims = litmus_programs(&harness.exp).len() * 3;
-    let runner = StudyRunner::new("litmus", sims, study)?;
-    let rep = runner.run(|j| {
-        run_litmus_opts(
-            harness,
-            LitmusOpts {
-                journal: j,
-                knob: model_knob.unwrap_or_default(),
-            },
-        )
+    let sims = litmus_programs(&c.cli.exp).len() * spp_pmem::FlushMode::ALL.len();
+    let rep = c.study(sims)?.run(|journal| {
+        let opts = LitmusOpts {
+            journal,
+            knob: c.cli.model_knob,
+        };
+        run_litmus_opts(&c.harness, opts)
     });
     Ok(verdict(rep.ok()))
 }
 
-/// `repro profile <BENCH> <VARIANT> [--trace-out PATH] [--journal PATH
-/// [--resume]]`: replay one trace on the baseline and SP256 cores with
-/// the spp-obs probe attached, print the stall-attribution table and
-/// one `specpersist/profile-v2` JSON line, and optionally write the
-/// merged Chrome trace. With a journal the completed cell is recorded
-/// (text, JSON and trace all in the payload) and `--resume` replays it
-/// byte-identically. Exits non-zero if the probe's attribution diverges
-/// from the machine's stall counters; a trace that cannot be written
-/// or a cell that exhausts its retries is a typed error.
-fn profile_cmd(
-    harness: &Harness,
-    positional: &[String],
-    study: &StudyCli,
-    trace_out: Option<&str>,
-) -> Result<ExitCode, CliError> {
-    use spp_bench::profile::run_profile_study;
-    let (id, variant) = bench_variant("profile", positional)?;
-    let runner = StudyRunner::new("profile", 2, study)?;
-    let rep = runner.run(|j| run_profile_study(harness, id, variant, j));
-    let cell = rep.cell.map_err(|f| CliError::CellFailed {
-        key: f.key,
-        reason: f.reason,
-    })?;
-    if let Some(path) = trace_out {
+/// `repro profile <BENCH> <VARIANT>`: cycle-resolved observability —
+/// replay one trace on the baseline and SP256 cores with the spp-obs
+/// probe attached, print the stall-attribution table and one
+/// `specpersist/profile-v2` JSON line, and optionally write the merged
+/// Chrome trace (`--trace-out`). A journal records the whole cell (text,
+/// JSON and trace). Exits non-zero if the probe's attribution diverges
+/// from the machine's stall counters; a trace that cannot be written or
+/// a cell that exhausts its retries is a typed error.
+fn profile(c: &Ctx) -> Result<ExitCode, CliError> {
+    use spp_bench::profile::{run_profile_study, PROFILE_CONFIGS};
+    let (id, variant) = c.bench_variant()?;
+    let runner = c.study(PROFILE_CONFIGS.len())?;
+    let rep = runner.run(|j| run_profile_study(&c.harness, id, variant, j));
+    let cell = rep
+        .cell
+        .map_err(|CellFailure { key, reason, .. }| CliError::CellFailed { key, reason })?;
+    if let Some(path) = &c.cli.trace_out {
         std::fs::write(path, &cell.trace).map_err(|e| CliError::TraceOut {
-            path: path.to_string(),
+            path: path.clone(),
             reason: e.to_string(),
         })?;
         eprintln!("# chrome trace: {path} ({} bytes)", cell.trace.len());
@@ -902,57 +766,30 @@ fn profile_cmd(
     Ok(verdict(cell.ok))
 }
 
-/// The `<BENCH> <VARIANT>` words of `trace`, `profile` and `optimize`.
-fn bench_variant(cmd: &'static str, positional: &[String]) -> Result<(BenchId, Variant), CliError> {
-    let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
-        return Err(CliError::MissingBenchVariant { cmd });
-    };
-    let id = spp_bench::parse_bench(bench).ok_or_else(|| CliError::UnknownBench(bench.clone()))?;
-    let variant = spp_bench::parse_variant(variant)
-        .ok_or_else(|| CliError::UnknownVariant(variant.clone()))?;
-    Ok((id, variant))
-}
-
 /// `repro trace <BENCH> <VARIANT>`: record one trace and print its
 /// micro-op mix and per-operation averages.
-fn trace_cmd(positional: &[String], exp: &Experiment) -> Result<(), CliError> {
-    use spp_workloads::{run_benchmark, BenchSpec, RunConfig};
-    let (id, variant) = bench_variant("trace", positional)?;
-    let spec = BenchSpec::scaled(id, exp.scale);
-    let out = run_benchmark(&RunConfig {
-        variant,
-        spec,
-        seed: exp.seed,
-        capture_base: false,
-    });
-    let c = out.trace.counts;
-    let ops = spec.sim_ops;
-    println!(
-        "{} / {} at scale 1/{} ({} ops recorded)",
-        id.name(),
-        variant,
-        exp.scale,
-        ops
-    );
+fn trace(c: &Ctx) -> Result<ExitCode, CliError> {
+    use spp_workloads::{record_trace, BenchSpec, TraceSpec};
+    let (id, variant) = c.bench_variant()?;
+    let Experiment { scale, seed } = c.cli.exp;
+    let spec = BenchSpec::scaled(id, scale);
+    let counts = record_trace(&TraceSpec::new(variant, spec, seed)).counts;
+    let (name, ops) = (id.name(), spec.sim_ops);
+    println!("{name} / {variant} at scale 1/{scale} ({ops} ops recorded)");
     println!("{:<22} {:>12} {:>10}", "class", "micro-ops", "per op");
     for (name, v) in [
-        ("compute", c.compute),
-        ("loads", c.loads),
-        ("stores", c.stores),
-        ("flushes (clwb/...)", c.flushes),
-        ("pcommits", c.pcommits),
-        ("fences", c.fences),
+        ("compute", counts.compute),
+        ("loads", counts.loads),
+        ("stores", counts.stores),
+        ("flushes (clwb/...)", counts.flushes),
+        ("pcommits", counts.pcommits),
+        ("fences", counts.fences),
+        ("TOTAL", counts.total()),
     ] {
         println!("{:<22} {:>12} {:>10.1}", name, v, v as f64 / ops as f64);
     }
-    println!(
-        "{:<22} {:>12} {:>10.1}",
-        "TOTAL",
-        c.total(),
-        c.total() as f64 / ops as f64
-    );
-    println!("transactions: {}", c.transactions);
-    Ok(())
+    println!("transactions: {}", counts.transactions);
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -962,6 +799,16 @@ mod tests {
 
     fn args(words: &[&str]) -> Vec<String> {
         words.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Parses and checks `words`, returning the argv error if any.
+    fn checked(words: &[&str]) -> Result<(), CliError> {
+        check(&parse_args(&args(words)).unwrap()).map(|_| ())
+    }
+
+    /// A checked invocation, ready for its runner.
+    fn ctx(words: &[&str]) -> Ctx {
+        Ctx::new(parse_args(&args(words)).unwrap()).unwrap()
     }
 
     #[test]
@@ -1035,50 +882,176 @@ mod tests {
         assert_eq!(parse_args(&[]).unwrap_err(), CliError::NoCommand);
     }
 
+    /// One instance of every [`CliError`] variant, paired with whether
+    /// it is an argv mistake (and so prints the usage block).
+    fn every_error() -> Vec<(CliError, bool)> {
+        vec![
+            (CliError::NoCommand, true),
+            (CliError::UnknownCommand("fig99".into()), true),
+            (CliError::UnknownFlag("--jbos".into()), true),
+            (
+                CliError::UnexpectedArg {
+                    cmd: "all",
+                    arg: "extra".into(),
+                },
+                true,
+            ),
+            (
+                CliError::BadValue {
+                    flag: "--jobs",
+                    given: "-2".into(),
+                    want: "an integer of at least 1",
+                },
+                true,
+            ),
+            (
+                CliError::MissingArgs {
+                    cmd: "trace",
+                    args: BENCH_VARIANT,
+                },
+                true,
+            ),
+            (
+                CliError::MissingArgs {
+                    cmd: "journal",
+                    args: "check <PATH>",
+                },
+                true,
+            ),
+            (CliError::UnknownBench("ZZ".into()), true),
+            (CliError::UnknownVariant("fast".into()), true),
+            (CliError::UnknownLeg("base".into()), true),
+            (
+                CliError::FlagUnsupported {
+                    flag: "--journal",
+                    cmd: "all",
+                },
+                true,
+            ),
+            (CliError::ResumeNeedsJournal, true),
+            (
+                CliError::Study(StudyError::ResumeMissingJournal("/tmp/x.jsonl".into())),
+                false,
+            ),
+            (
+                CliError::Study(StudyError::JournalNeedsResume("/tmp/x.jsonl".into())),
+                false,
+            ),
+            (
+                CliError::Study(StudyError::Journal("journal \"x\": denied".into())),
+                false,
+            ),
+            (
+                CliError::TraceMemCap(
+                    "trace cache holds 9 bytes, exceeding --trace-mem-cap 1".into(),
+                ),
+                false,
+            ),
+            (
+                CliError::TraceOut {
+                    path: "/nonexistent/t.json".into(),
+                    reason: "No such file or directory (os error 2)".into(),
+                },
+                false,
+            ),
+            (
+                CliError::CellFailed {
+                    key: "profile/LL/logpsf/scale400/seed0x1".into(),
+                    reason: "panic: boom".into(),
+                },
+                false,
+            ),
+        ]
+    }
+
     #[test]
     fn every_error_renders_as_one_line() {
-        let errors = [
-            CliError::NoCommand,
-            CliError::UnknownCommand("fig99".into()),
-            CliError::UnknownFlag("--jbos".into()),
-            CliError::UnexpectedArg {
-                cmd: "all".into(),
-                arg: "extra".into(),
-            },
-            CliError::BadValue {
-                flag: "--jobs",
-                given: "-2".into(),
-                want: "an integer of at least 1",
-            },
-            CliError::MissingBenchVariant { cmd: "trace" },
-            CliError::MissingBenchVariant { cmd: "profile" },
-            CliError::MissingBenchVariant { cmd: "optimize" },
-            CliError::UnknownBench("ZZ".into()),
-            CliError::UnknownVariant("fast".into()),
-            CliError::UnknownLeg("base".into()),
-            CliError::FlagUnsupported {
-                flag: "--journal",
-                cmd: "all".into(),
-            },
-            CliError::ResumeNeedsJournal,
-            CliError::ResumeMissingJournal("/tmp/x.jsonl".into()),
-            CliError::JournalNeedsResume("/tmp/x.jsonl".into()),
-            CliError::Journal("journal \"x\": denied".into()),
-            CliError::MissingJournalCheckArgs,
-            CliError::TraceMemCap("trace cache holds 9 bytes, exceeding --trace-mem-cap 1".into()),
-            CliError::TraceOut {
-                path: "/nonexistent/t.json".into(),
-                reason: "No such file or directory (os error 2)".into(),
-            },
-            CliError::CellFailed {
-                key: "profile/LL/logpsf/scale400/seed0x1".into(),
-                reason: "panic: boom".into(),
-            },
-        ];
-        for e in errors {
+        for (e, _) in every_error() {
             let s = e.to_string();
             assert!(!s.is_empty() && !s.contains('\n'), "{e:?} renders {s:?}");
         }
+        // The two kinds of missing words read as they always have.
+        assert_eq!(
+            CliError::MissingArgs {
+                cmd: "trace",
+                args: BENCH_VARIANT
+            }
+            .to_string(),
+            "trace needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>"
+        );
+        assert_eq!(
+            checked(&["journal"]).unwrap_err().to_string(),
+            "journal needs check <PATH>"
+        );
+    }
+
+    #[test]
+    fn only_argv_mistakes_print_the_usage_block() {
+        for (e, usage) in every_error() {
+            assert_eq!(e.is_usage(), usage, "{e:?}");
+        }
+        // `every_error` must hold every variant: this match has no
+        // wildcard, so a new variant fails to compile until it is
+        // listed and classified above.
+        for (e, _) in every_error() {
+            match e {
+                CliError::NoCommand
+                | CliError::UnknownCommand(_)
+                | CliError::UnknownFlag(_)
+                | CliError::UnexpectedArg { .. }
+                | CliError::BadValue { .. }
+                | CliError::MissingArgs { .. }
+                | CliError::UnknownBench(_)
+                | CliError::UnknownVariant(_)
+                | CliError::UnknownLeg(_)
+                | CliError::FlagUnsupported { .. }
+                | CliError::ResumeNeedsJournal
+                | CliError::Study(_)
+                | CliError::TraceMemCap(_)
+                | CliError::TraceOut { .. }
+                | CliError::CellFailed { .. } => {}
+            }
+        }
+    }
+
+    #[test]
+    fn usage_names_every_command_its_words_and_every_flag() {
+        let u = usage();
+        assert!(u.starts_with("usage: repro <command> [--scale N] [--seed S] [--jobs J]\n"));
+        for c in COMMANDS {
+            let line = u
+                .lines()
+                .find(|l| {
+                    l.trim_start()
+                        .strip_prefix("repro ")
+                        .and_then(|l| l.split(' ').next())
+                        .is_some_and(|words| words.split('|').any(|w| w == c.word))
+                })
+                .unwrap_or_else(|| panic!("no usage line for {}:\n{u}", c.word));
+            assert!(line.contains(c.args), "{}: {line}", c.word);
+            for f in c.flags {
+                assert!(line.contains(f.name()), "{}: {line}", c.word);
+            }
+        }
+        for f in FLAGS {
+            assert!(u.contains(f.name()), "{} missing:\n{u}", f.name());
+        }
+        assert!(u.contains("repro litmus [--journal [PATH]] [--resume] [--model-knob K]"));
+        assert!(u.contains("repro journal check <PATH>\n"));
+    }
+
+    #[test]
+    fn flag_unsupported_lists_the_commands_that_take_the_flag() {
+        let e = checked(&["all", "--trace-out", "t.json"]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "--trace-out is not supported by \"all\" (commands that take it: profile)"
+        );
+        let e = checked(&["fig8", "--journal", "j.jsonl"]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "--journal is not supported by \"fig8\" (commands that take it: faultsim, multicore, kv, litmus, optimize, profile)"
+        );
     }
 
     #[test]
@@ -1092,48 +1065,18 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.resume);
-        assert!(check_flag_scope(&cli).is_ok());
-    }
-
-    #[test]
-    fn storm_bound_parses_validates_and_scopes_to_multicore() {
-        let cli = parse_args(&args(&["multicore", "--storm-bound", "8"])).unwrap();
-        assert_eq!(cli.storm_bound, Some(8));
-        assert!(check_flag_scope(&cli).is_ok());
-        // Zero (and junk) budgets are typed errors, not panics.
-        for bad in ["0", "-1", "lots", ""] {
-            let e = parse_args(&args(&["multicore", "--storm-bound", bad])).unwrap_err();
-            assert!(
-                matches!(
-                    e,
-                    CliError::BadValue {
-                        flag: "--storm-bound",
-                        ..
-                    }
-                ),
-                "--storm-bound {bad:?} gave {e:?}"
-            );
-        }
-        // The flag means nothing outside the multicore study.
-        let cli = parse_args(&args(&["faultsim", "--storm-bound", "8"])).unwrap();
-        assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
-            CliError::FlagUnsupported {
-                flag: "--storm-bound",
-                cmd: "faultsim".into(),
-            }
-        );
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
+        assert!(cli.study.resume);
+        assert!(check(&cli).is_ok());
     }
 
     #[test]
     fn model_knob_parses_validates_and_scopes_to_litmus() {
         let cli = parse_args(&args(&["litmus", "--model-knob", "clflushopt-po"])).unwrap();
-        assert_eq!(cli.model_knob, Some(ModelKnob::ClflushOptProgramOrdered));
-        assert!(check_flag_scope(&cli).is_ok());
+        assert_eq!(cli.model_knob, ModelKnob::ClflushOptProgramOrdered);
+        assert!(check(&cli).is_ok());
         let cli = parse_args(&args(&["litmus", "--model-knob", "honest"])).unwrap();
-        assert_eq!(cli.model_knob, Some(ModelKnob::Honest));
+        assert_eq!(cli.model_knob, ModelKnob::Honest);
         for bad in ["", "tso", "--journal"] {
             let e = parse_args(&args(&["litmus", "--model-knob", bad])).unwrap_err();
             assert!(
@@ -1149,12 +1092,11 @@ mod tests {
         }
         // Test-only means litmus-only: no other command may weaken the
         // model, even by accident.
-        let cli = parse_args(&args(&["crashfuzz", "--model-knob", "honest"])).unwrap();
         assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
+            checked(&["crashfuzz", "--model-knob", "honest"]).unwrap_err(),
             CliError::FlagUnsupported {
                 flag: "--model-knob",
-                cmd: "crashfuzz".into(),
+                cmd: "crashfuzz",
             }
         );
     }
@@ -1162,16 +1104,15 @@ mod tests {
     #[test]
     fn litmus_is_a_journaled_command() {
         let cli = parse_args(&args(&["litmus", "--journal", "j.jsonl", "--resume"])).unwrap();
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.resume);
-        assert!(check_flag_scope(&cli).is_ok());
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
+        assert!(cli.study.resume);
+        assert!(check(&cli).is_ok());
     }
 
     #[test]
     fn resume_without_journal_is_a_typed_error() {
-        let cli = parse_args(&args(&["faultsim", "--resume"])).unwrap();
         assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
+            checked(&["faultsim", "--resume"]).unwrap_err(),
             CliError::ResumeNeedsJournal
         );
     }
@@ -1182,12 +1123,11 @@ mod tests {
             (vec!["all", "--journal", "j.jsonl"], "--journal"),
             (vec!["fig8", "--resume"], "--resume"),
         ] {
-            let cli = parse_args(&args(&words)).unwrap();
             assert_eq!(
-                check_flag_scope(&cli).unwrap_err(),
+                checked(&words).unwrap_err(),
                 CliError::FlagUnsupported {
                     flag,
-                    cmd: words[0].to_string(),
+                    cmd: words[0],
                 },
                 "{words:?}"
             );
@@ -1200,15 +1140,15 @@ mod tests {
         // back to the conventional manifest location.
         let cli = parse_args(&args(&["faultsim", "--journal"])).unwrap();
         assert_eq!(
-            cli.journal.as_deref(),
+            cli.study.journal.as_deref(),
             Some(spp_bench::journal::DEFAULT_JOURNAL_PATH)
         );
         let cli = parse_args(&args(&["faultsim", "--journal", "--resume"])).unwrap();
         assert_eq!(
-            cli.journal.as_deref(),
+            cli.study.journal.as_deref(),
             Some(spp_bench::journal::DEFAULT_JOURNAL_PATH)
         );
-        assert!(cli.resume);
+        assert!(cli.study.resume);
         // An explicit empty path is still a typed error.
         let e = parse_args(&args(&["faultsim", "--journal", ""])).unwrap_err();
         assert!(
@@ -1237,12 +1177,12 @@ mod tests {
                 resume,
             }
             .open()
-            .map_err(CliError::from)
+            .map_err(CliError::Study)
         };
         // Resuming a journal that does not exist is a typed error.
         assert!(matches!(
             open_journal(true).unwrap_err(),
-            CliError::ResumeMissingJournal(_)
+            CliError::Study(StudyError::ResumeMissingJournal(_))
         ));
         // A fresh run against a fresh path opens (and creates) it.
         open_journal(false).unwrap();
@@ -1251,7 +1191,7 @@ mod tests {
         std::fs::write(&p, "x\n").unwrap();
         assert!(matches!(
             open_journal(false).unwrap_err(),
-            CliError::JournalNeedsResume(_)
+            CliError::Study(StudyError::JournalNeedsResume(_))
         ));
         // Resuming it is fine (the bogus line surfaces via corrupt()).
         let j = open_journal(true).unwrap().unwrap();
@@ -1261,18 +1201,20 @@ mod tests {
 
     #[test]
     fn trace_cmd_rejects_unknown_names() {
-        let exp = Experiment::default();
         assert_eq!(
-            trace_cmd(&args(&["ZZ", "base"]), &exp).unwrap_err(),
+            trace(&ctx(&["trace", "ZZ", "base"])).unwrap_err(),
             CliError::UnknownBench("ZZ".into())
         );
         assert_eq!(
-            trace_cmd(&args(&["LL", "fast"]), &exp).unwrap_err(),
+            trace(&ctx(&["trace", "LL", "fast"])).unwrap_err(),
             CliError::UnknownVariant("fast".into())
         );
         assert_eq!(
-            trace_cmd(&args(&["LL"]), &exp).unwrap_err(),
-            CliError::MissingBenchVariant { cmd: "trace" }
+            checked(&["trace", "LL"]).unwrap_err(),
+            CliError::MissingArgs {
+                cmd: "trace",
+                args: BENCH_VARIANT
+            }
         );
     }
 
@@ -1293,8 +1235,8 @@ mod tests {
         assert_eq!(cli.cmd, "profile");
         assert_eq!(cli.positional, args(&["LL", "logpsf"]));
         assert_eq!(cli.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
-        assert!(check_flag_scope(&cli).is_ok());
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
+        assert!(check(&cli).is_ok());
         // A missing or flag-like value is a typed error.
         for words in [
             vec!["profile", "LL", "base", "--trace-out"],
@@ -1314,49 +1256,50 @@ mod tests {
             );
         }
         // `--trace-out` is profile-only.
-        let cli = parse_args(&args(&["all", "--trace-out", "t.json"])).unwrap();
         assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
+            checked(&["all", "--trace-out", "t.json"]).unwrap_err(),
             CliError::FlagUnsupported {
                 flag: "--trace-out",
-                cmd: "all".into(),
+                cmd: "all",
             }
         );
     }
 
     #[test]
     fn profile_cmd_rejects_unknown_names() {
-        let h = Harness::new(Experiment::default(), 1);
-        let study = StudyCli::default();
         assert_eq!(
-            profile_cmd(&h, &args(&["ZZ", "base"]), &study, None).unwrap_err(),
+            profile(&ctx(&["profile", "ZZ", "base"])).unwrap_err(),
             CliError::UnknownBench("ZZ".into())
         );
         assert_eq!(
-            profile_cmd(&h, &args(&["LL", "fast"]), &study, None).unwrap_err(),
+            profile(&ctx(&["profile", "LL", "fast"])).unwrap_err(),
             CliError::UnknownVariant("fast".into())
         );
         assert_eq!(
-            profile_cmd(&h, &args(&["LL"]), &study, None).unwrap_err(),
-            CliError::MissingBenchVariant { cmd: "profile" }
+            checked(&["profile", "LL"]).unwrap_err(),
+            CliError::MissingArgs {
+                cmd: "profile",
+                args: BENCH_VARIANT
+            }
         );
     }
 
     #[test]
     fn optimize_cmd_rejects_unknown_names() {
-        let h = Harness::new(Experiment::default(), 1);
-        let study = StudyCli::default();
         assert_eq!(
-            optimize_cmd(&h, &args(&["ZZ", "base"]), &study).unwrap_err(),
+            optimize(&ctx(&["optimize", "ZZ", "base"])).unwrap_err(),
             CliError::UnknownBench("ZZ".into())
         );
         assert_eq!(
-            optimize_cmd(&h, &args(&["LL", "fast"]), &study).unwrap_err(),
+            optimize(&ctx(&["optimize", "LL", "fast"])).unwrap_err(),
             CliError::UnknownVariant("fast".into())
         );
         assert_eq!(
-            optimize_cmd(&h, &args(&["LL"]), &study).unwrap_err(),
-            CliError::MissingBenchVariant { cmd: "optimize" }
+            checked(&["optimize", "LL"]).unwrap_err(),
+            CliError::MissingArgs {
+                cmd: "optimize",
+                args: BENCH_VARIANT
+            }
         );
     }
 
@@ -1374,33 +1317,24 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cli.positional, args(&["LL", "logpsf"]));
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.resume);
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
+        assert!(cli.study.resume);
         assert_eq!(cli.trace_mem_cap, Some(4096));
-        assert!(check_flag_scope(&cli).is_ok());
+        assert!(check(&cli).is_ok());
         // Profile-only flags stay profile-only.
-        let cli = parse_args(&args(&[
-            "optimize",
-            "LL",
-            "logpsf",
-            "--trace-out",
-            "t.json",
-        ]))
-        .unwrap();
         assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
+            checked(&["optimize", "LL", "logpsf", "--trace-out", "t.json"]).unwrap_err(),
             CliError::FlagUnsupported {
                 flag: "--trace-out",
-                cmd: "optimize".into(),
+                cmd: "optimize",
             }
         );
     }
 
     #[test]
     fn unknown_crashfuzz_leg_is_a_typed_error() {
-        let h = Harness::new(Experiment::default(), 1);
         assert_eq!(
-            crashfuzz_cmd(&h, &args(&["base"])).unwrap_err(),
+            crashfuzz(&ctx(&["crashfuzz", "base"])).unwrap_err(),
             CliError::UnknownLeg("base".into())
         );
     }
@@ -1408,9 +1342,9 @@ mod tests {
     #[test]
     fn kv_is_a_journaled_command() {
         let cli = parse_args(&args(&["kv", "--journal", "j.jsonl", "--resume"])).unwrap();
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.resume);
-        assert!(check_flag_scope(&cli).is_ok());
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
+        assert!(cli.study.resume);
+        assert!(check(&cli).is_ok());
     }
 
     #[test]
@@ -1422,6 +1356,7 @@ mod tests {
             (vec!["profile", "LL", "base", "--trace", "t"], "--trace"),
             (vec!["kv", "--scale", "400", "--out"], "--out"),
             (vec!["trace", "LL", "base", "--"], "--"),
+            (vec!["multicore", "--storm-bound", "8"], "--storm-bound"),
         ] {
             assert_eq!(
                 parse_args(&args(&words)).unwrap_err(),
@@ -1443,34 +1378,34 @@ mod tests {
             (vec!["optimize", "LL", "logp", "extra"], "extra"),
             (vec!["journal", "check", "j.jsonl", "extra"], "extra"),
         ] {
-            let cli = parse_args(&args(&words)).unwrap();
             assert_eq!(
-                check_positionals(&cli).unwrap_err(),
+                checked(&words).unwrap_err(),
                 CliError::UnexpectedArg {
-                    cmd: words[0].into(),
+                    cmd: words[0],
                     arg: arg.into(),
                 },
                 "{words:?}"
             );
         }
-        // Up to the command's own count is fine; too few words stay the
-        // command's own typed error.
+        // Up to the command's own count is fine.
         for words in [
             vec!["all"],
             vec!["crashfuzz"],
             vec!["crashfuzz", "log"],
             vec!["trace", "LL", "base"],
-            vec!["profile", "LL"],
             vec!["journal", "check", "j.jsonl"],
         ] {
-            let cli = parse_args(&args(&words)).unwrap();
-            assert!(check_positionals(&cli).is_ok(), "{words:?}");
+            assert!(checked(&words).is_ok(), "{words:?}");
         }
+        // Too few words are a missing-words error, not a surplus one.
+        assert!(matches!(
+            checked(&["profile", "LL"]).unwrap_err(),
+            CliError::MissingArgs { .. }
+        ));
         // An unknown command is reported as such, not as its words.
         for cmd in ["fig99", "soak"] {
-            let cli = parse_args(&args(&[cmd, "extra"])).unwrap();
             assert_eq!(
-                check_positionals(&cli).unwrap_err(),
+                checked(&[cmd, "extra"]).unwrap_err(),
                 CliError::UnknownCommand(cmd.into())
             );
         }
@@ -1490,7 +1425,10 @@ mod tests {
         for cmd in ["all", "kv", "profile", "crashfuzz"] {
             let cli = parse_args(&args(&[cmd, "--trace-mem-cap", "4096"])).unwrap();
             assert_eq!(cli.trace_mem_cap, Some(4096));
-            assert!(check_flag_scope(&cli).is_ok(), "{cmd}");
+            assert!(
+                !matches!(check(&cli), Err(CliError::FlagUnsupported { .. })),
+                "{cmd}"
+            );
         }
         for bad in ["0", "-1", "lots", ""] {
             let e = parse_args(&args(&["all", "--trace-mem-cap", bad])).unwrap_err();
@@ -1508,12 +1446,11 @@ mod tests {
         // Commands that never route traces through the harness cache
         // reject the cap instead of silently ignoring it.
         for cmd in ["trace", "journal"] {
-            let cli = parse_args(&args(&[cmd, "--trace-mem-cap", "4096"])).unwrap();
             assert_eq!(
-                check_flag_scope(&cli).unwrap_err(),
+                checked(&[cmd, "--trace-mem-cap", "4096"]).unwrap_err(),
                 CliError::FlagUnsupported {
                     flag: "--trace-mem-cap",
-                    cmd: cmd.into(),
+                    cmd,
                 },
                 "{cmd}"
             );
@@ -1523,8 +1460,6 @@ mod tests {
     #[test]
     fn a_tripped_trace_mem_cap_is_a_typed_error() {
         use spp_bench::TraceKey;
-        use spp_pmem::Variant;
-        use spp_workloads::BenchId;
         let exp = Experiment {
             scale: 2400,
             seed: 7,
@@ -1546,10 +1481,17 @@ mod tests {
 
     #[test]
     fn journal_check_wants_the_subcommand_and_a_path() {
-        for words in [vec![], vec!["check"], vec!["verify", "a"]] {
+        for words in [
+            vec!["journal"],
+            vec!["journal", "check"],
+            vec!["journal", "verify", "a"],
+        ] {
             assert_eq!(
-                journal_cmd(&args(&words)).unwrap_err(),
-                CliError::MissingJournalCheckArgs,
+                checked(&words).unwrap_err(),
+                CliError::MissingArgs {
+                    cmd: "journal",
+                    args: "check <PATH>"
+                },
                 "{words:?}"
             );
         }
@@ -1557,13 +1499,13 @@ mod tests {
         // (Journal::open would create it).
         assert!(matches!(
             journal_check("/nonexistent/spp-journal-check.jsonl").unwrap_err(),
-            CliError::Journal(_)
+            CliError::Study(StudyError::Journal(_))
         ));
     }
 
     #[test]
     fn journal_check_verifies_flags_truncation_and_bit_flips() {
-        use spp_bench::{Journal, Supervisor};
+        use spp_bench::Supervisor;
         let mut p = std::env::temp_dir();
         p.push(format!(
             "spp-repro-journal-check-{}.jsonl",

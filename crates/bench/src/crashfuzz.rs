@@ -202,7 +202,9 @@ pub struct FuzzReport {
     pub sp: Vec<SpReport>,
 }
 
-fn committed_classes(r: &SimResult) -> [u64; 6] {
+/// A run's committed micro-ops by class (total, loads, stores, flushes,
+/// pcommits, fences): what a replay must agree with its trace on.
+pub(crate) fn committed_classes(r: &SimResult) -> [u64; 6] {
     [
         r.cpu.committed_uops,
         r.cpu.loads,
@@ -213,7 +215,8 @@ fn committed_classes(r: &SimResult) -> [u64; 6] {
     ]
 }
 
-fn trace_classes(c: &TraceCounts) -> [u64; 6] {
+/// A trace's micro-ops in [`committed_classes`] order.
+pub(crate) fn trace_classes(c: &TraceCounts) -> [u64; 6] {
     [
         c.total(),
         c.loads,

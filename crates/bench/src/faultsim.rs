@@ -47,13 +47,16 @@
 //! exhaustion, degrades to a per-cell `failed` record carrying the
 //! diagnostic snapshot; every other pair still reports.
 
-use spp_cpu::{CpuConfig, SimErrorKind, SimResult, Simulator};
+use spp_cpu::{CpuConfig, SimErrorKind, Simulator};
 use spp_mem::{FaultSpec, FaultStats};
-use spp_pmem::{TraceCounts, Variant};
+use spp_pmem::Variant;
 use spp_workloads::oracle::{first_violation, record_bundle};
 use spp_workloads::BenchId;
 
-use crate::crashfuzz::{crash_points, fuzz_bundle_spec, minimal_witness, SEEDS_PER_POINT};
+use crate::crashfuzz::{
+    committed_classes, crash_points, fuzz_bundle_spec, minimal_witness, trace_classes,
+    SEEDS_PER_POINT,
+};
 use crate::json::{array, parse, JsonObject, Value};
 use crate::supervisor::{CellError, CellFailure, Supervisor};
 use crate::{parse_bench, parse_variant, variant_key, Harness, Journal, TraceKey};
@@ -65,12 +68,20 @@ pub const VARIANTS: [Variant; 4] = [Variant::Base, Variant::Log, Variant::LogP, 
 
 /// The named fault plans swept per cell, derived from the experiment
 /// seed: background-radiation `quiet` and adversarial `storm`.
-pub fn plans(seed: u64) -> [(&'static str, FaultSpec); 2] {
+pub fn plans(seed: u64) -> [(&'static str, FaultSpec); PLANS] {
     [
         ("quiet", FaultSpec::quiet(seed)),
         ("storm", FaultSpec::storm(seed)),
     ]
 }
+
+/// How many fault plans [`plans`] returns.
+pub const PLANS: usize = 2;
+
+/// Simulations one faultsim run issues: per `(benchmark, variant)`
+/// pair, a fault-free and a faulted replay per plan on each of the two
+/// cores, plus the watchdog leg.
+pub const SIMS: usize = BenchId::ALL.len() * VARIANTS.len() * 2 * (1 + PLANS) + 1;
 
 /// Crash points sampled for a cell's bounded must-pass verdict sweep.
 const VERDICT_POINTS: usize = 16;
@@ -169,28 +180,6 @@ pub struct FaultsimOpts<'j> {
     /// attempt, demonstrating retry exhaustion and per-cell
     /// degradation without touching the simulator.
     pub inject_panic: Option<(BenchId, Variant)>,
-}
-
-fn committed_classes(r: &SimResult) -> [u64; 6] {
-    [
-        r.cpu.committed_uops,
-        r.cpu.loads,
-        r.cpu.stores,
-        r.cpu.flushes,
-        r.cpu.pcommits,
-        r.cpu.fences,
-    ]
-}
-
-fn trace_classes(c: &TraceCounts) -> [u64; 6] {
-    [
-        c.total(),
-        c.loads,
-        c.stores,
-        c.flushes,
-        c.pcommits,
-        c.fences,
-    ]
 }
 
 /// The bounded crash-recovery verdict of a `(benchmark, variant)`
@@ -546,12 +535,6 @@ pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
     }
 }
 
-/// Runs the faultsim matrix with default supervision (no journal, no
-/// injected faults).
-pub fn run_faultsim(h: &Harness) -> FaultReport {
-    run_faultsim_opts(h, FaultsimOpts::default())
-}
-
 impl FaultReport {
     /// Faults injected across every `storm` cell (the sweep is vacuous
     /// if the adversarial plan never fires).
@@ -705,7 +688,7 @@ mod tests {
 
     #[test]
     fn invariance_holds_across_the_matrix_at_smoke_scale() {
-        let rep = run_faultsim(&smoke_harness(4));
+        let rep = run_faultsim_opts(&smoke_harness(4), FaultsimOpts::default());
         assert_eq!(rep.cells.len(), 7 * 4 * 2, "bench x variant x plan");
         assert!(rep.failures.is_empty(), "{:?}", rep.failures);
         for c in &rep.cells {
@@ -732,7 +715,7 @@ mod tests {
 
     #[test]
     fn watchdog_leg_converts_stall_into_typed_error() {
-        let rep = run_faultsim(&smoke_harness(4));
+        let rep = run_faultsim_opts(&smoke_harness(4), FaultsimOpts::default());
         let w = &rep.watchdog;
         assert!(
             w.fired,
@@ -747,8 +730,8 @@ mod tests {
 
     #[test]
     fn report_is_identical_at_any_job_count() {
-        let a = run_faultsim(&smoke_harness(1));
-        let b = run_faultsim(&smoke_harness(8));
+        let a = run_faultsim_opts(&smoke_harness(1), FaultsimOpts::default());
+        let b = run_faultsim_opts(&smoke_harness(8), FaultsimOpts::default());
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
         assert!(a.ok());
@@ -756,7 +739,7 @@ mod tests {
 
     #[test]
     fn json_shape_is_balanced_and_keyed() {
-        let rep = run_faultsim(&smoke_harness(4));
+        let rep = run_faultsim_opts(&smoke_harness(4), FaultsimOpts::default());
         let j = rep.render_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

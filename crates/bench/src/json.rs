@@ -505,7 +505,7 @@ mod tests {
             scale: 5000,
             seed: 3,
         };
-        let runs = vec![crate::run_bench(spp_workloads::BenchId::LinkedList, &exp)];
+        let runs = crate::Harness::new(exp, 1).run_benches(&[spp_workloads::BenchId::LinkedList]);
         let v = parse(&suite_json(&runs)).unwrap();
         assert_eq!(
             v.get("schema").and_then(Value::as_str),
@@ -524,7 +524,7 @@ mod tests {
             scale: 5000,
             seed: 3,
         };
-        let runs = vec![crate::run_bench(spp_workloads::BenchId::LinkedList, &exp)];
+        let runs = crate::Harness::new(exp, 1).run_benches(&[spp_workloads::BenchId::LinkedList]);
         let j = suite_json(&runs);
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -51,7 +51,7 @@ pub mod supervisor;
 
 pub use cache::{trace_bytes, CacheStats, TraceCache, TraceKey, TraceMemCap};
 pub use journal::{Journal, JournalError};
-pub use multicore::{run_multicore_study, MulticoreCell, MulticoreReport};
+pub use multicore::{MulticoreCell, MulticoreReport};
 pub use parallel::run_indexed;
 pub use supervisor::{CellFailure, CellOutcome, Supervisor};
 
@@ -293,13 +293,6 @@ impl Harness {
             .collect()
     }
 
-    /// The main sweep for one benchmark.
-    pub fn run_bench(&self, id: BenchId) -> BenchRun {
-        self.run_benches(&[id])
-            .pop()
-            .expect("one bench in, one run out")
-    }
-
     /// The main sweep for the whole Table 1 suite.
     pub fn run_suite(&self) -> Vec<BenchRun> {
         self.run_benches(&BenchId::ALL)
@@ -340,14 +333,6 @@ impl Harness {
             .collect()
     }
 
-    /// Fig. 13 for a single benchmark.
-    pub fn run_ssb_sweep(&self, id: BenchId) -> Vec<(usize, f64)> {
-        self.ssb_table(&[id])
-            .pop()
-            .expect("one bench in, one row out")
-            .1
-    }
-
     /// [`ABLATION_SETTINGS`] overheads vs `Base` for the given
     /// benchmarks, one row per benchmark.
     pub fn ablation_table(&self, ids: &[BenchId]) -> Vec<(BenchId, [f64; 5])> {
@@ -376,24 +361,6 @@ impl Harness {
             .collect()
     }
 
-    /// Ablation: SP without the combined `sfence-pcommit-sfence` opcode
-    /// and with a varying checkpoint count. Returns overhead vs `Base`.
-    pub fn run_sp_ablation(&self, id: BenchId, combine_barrier: bool, checkpoints: usize) -> f64 {
-        let base = self.base_cycles(id);
-        let cpu = CpuConfig {
-            sp: Some(SpConfig {
-                combine_barrier,
-                checkpoints,
-                ..SpConfig::paper_default()
-            }),
-            ..CpuConfig::baseline()
-        };
-        let sim = self
-            .sim(TraceKey::new(id, Variant::LogPSf, &self.exp), &cpu)
-            .1;
-        sim.cpu.cycles as f64 / base as f64 - 1.0
-    }
-
     /// Flush-instruction ablation rows (§2.2 footnote) for the given
     /// benchmarks: per [`FlushMode`], cycles per operation on the
     /// baseline and SP cores.
@@ -420,22 +387,6 @@ impl Harness {
             .zip(cycles.chunks_exact(2 * FlushMode::ALL.len()))
             .map(|(&id, per_mode)| (id, per_mode.chunks_exact(2).map(|c| (c[0], c[1])).collect()))
             .collect()
-    }
-
-    /// Flush-instruction ablation for one `(benchmark, mode)` pair:
-    /// cycles per operation on the baseline and SP cores.
-    pub fn run_flushmode(&self, id: BenchId, mode: FlushMode) -> (u64, u64) {
-        let key = TraceKey::with_flush_mode(id, Variant::LogPSf, &self.exp, mode);
-        let sims = run_indexed(self.jobs, &[false, true], |_, &sp| {
-            let cpu = if sp {
-                CpuConfig::with_sp()
-            } else {
-                CpuConfig::baseline()
-            };
-            self.sim(key, &cpu).1
-        });
-        let ops = BenchSpec::scaled(id, self.exp.scale).sim_ops;
-        (sims[0].cpu.cycles / ops, sims[1].cpu.cycles / ops)
     }
 
     /// Runs the full-vs-incremental logging ablation on the B-tree.
@@ -489,31 +440,6 @@ impl Harness {
     }
 }
 
-/// Serial convenience wrapper over [`Harness::run_bench`].
-pub fn run_bench(id: BenchId, exp: &Experiment) -> BenchRun {
-    Harness::new(*exp, 1).run_bench(id)
-}
-
-/// Serial convenience wrapper over [`Harness::run_suite`].
-pub fn run_suite(exp: &Experiment) -> Vec<BenchRun> {
-    Harness::new(*exp, 1).run_suite()
-}
-
-/// Serial convenience wrapper over [`Harness::run_ssb_sweep`].
-pub fn run_ssb_sweep(id: BenchId, exp: &Experiment) -> Vec<(usize, f64)> {
-    Harness::new(*exp, 1).run_ssb_sweep(id)
-}
-
-/// Serial convenience wrapper over [`Harness::run_sp_ablation`].
-pub fn run_sp_ablation(
-    id: BenchId,
-    exp: &Experiment,
-    combine_barrier: bool,
-    checkpoints: usize,
-) -> f64 {
-    Harness::new(*exp, 1).run_sp_ablation(id, combine_barrier, checkpoints)
-}
-
 /// Comparison of full vs incremental logging on the B-tree (§3.2,
 /// Figs. 4-5): cycles, pcommits and logged volume per operation, on the
 /// baseline and SP cores.
@@ -535,16 +461,6 @@ pub struct LoggingComparison {
     pub full_stores: f64,
     /// Store micro-ops per op, incremental.
     pub inc_stores: f64,
-}
-
-/// Serial convenience wrapper over [`Harness::run_logging_comparison`].
-pub fn run_logging_comparison(exp: &Experiment) -> LoggingComparison {
-    Harness::new(*exp, 1).run_logging_comparison()
-}
-
-/// Serial convenience wrapper over [`Harness::run_flushmode`].
-pub fn run_flushmode(id: BenchId, mode: FlushMode, exp: &Experiment) -> (u64, u64) {
-    Harness::new(*exp, 1).run_flushmode(id, mode)
 }
 
 /// Geometric mean of `(1 + overhead)` ratios, returned as an overhead
@@ -600,7 +516,7 @@ mod tests {
 
     #[test]
     fn variant_ordering_holds_for_linked_list() {
-        let r = run_bench(BenchId::LinkedList, &tiny());
+        let r = &Harness::new(tiny(), 1).run_benches(&[BenchId::LinkedList])[0];
         // The instrumentation ladder is structural, so it holds exactly
         // at any scale: each variant adds micro-ops (logging stores,
         // then flushes, then pcommit/fence pairs) on the same operation
@@ -622,13 +538,11 @@ mod tests {
 
     #[test]
     fn ssb_sweep_produces_all_design_points() {
-        let pts = run_ssb_sweep(
-            BenchId::LinkedList,
-            &Experiment {
-                scale: 5000,
-                seed: 1,
-            },
-        );
+        let exp = Experiment {
+            scale: 5000,
+            seed: 1,
+        };
+        let pts = &Harness::new(exp, 1).ssb_table(&[BenchId::LinkedList])[0].1;
         assert_eq!(pts.len(), 6);
         assert_eq!(pts[0].0, 32);
         assert_eq!(pts[5].0, 1024);

@@ -287,11 +287,6 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
     }
 }
 
-/// Runs the litmus matrix without a journal, under the honest model.
-pub fn run_litmus(h: &Harness) -> LitmusReport {
-    run_litmus_opts(h, LitmusOpts::default())
-}
-
 impl LitmusReport {
     /// Did every cell pass all seven legs?
     pub fn ok(&self) -> bool {
@@ -403,8 +398,8 @@ mod tests {
 
     #[test]
     fn honest_matrix_passes_and_is_jobs_invariant() {
-        let a = run_litmus(&smoke_harness(1));
-        let b = run_litmus(&smoke_harness(8));
+        let a = run_litmus_opts(&smoke_harness(1), LitmusOpts::default());
+        let b = run_litmus_opts(&smoke_harness(8), LitmusOpts::default());
         assert!(a.ok(), "honest cells must all pass");
         assert_eq!(a.cells.len(), a.programs * FlushMode::ALL.len());
         assert!(a.programs >= 20, "catalog floor");

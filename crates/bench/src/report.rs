@@ -348,7 +348,7 @@ pub fn flushmode(h: &Harness) -> String {
 /// structures over one coherent memory system, baseline vs SP, with
 /// BLT conflict/rollback accounting (§4.1/§4.2.2).
 pub fn multicore(h: &Harness) -> String {
-    crate::multicore::run_multicore_study(h).render_text()
+    crate::multicore::run_multicore_opts(h, None).render_text()
 }
 
 /// Full vs incremental logging on the B-tree (§3.2, Figs. 4-5).
@@ -392,7 +392,6 @@ pub fn incremental(h: &Harness) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_suite;
 
     #[test]
     fn static_tables_render() {
@@ -416,7 +415,7 @@ mod tests {
             scale: 5000,
             seed: 1,
         };
-        let runs = run_suite(&exp);
+        let runs = Harness::new(exp, 1).run_suite();
         assert_eq!(runs.len(), 7);
         for (name, text) in [
             ("fig8", fig8(&runs)),

@@ -13,12 +13,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use spp_bench::crashfuzz::{run_crashfuzz, FuzzReport, Leg};
-use spp_bench::faultsim::{run_faultsim, FaultReport, WatchdogReport};
+use spp_bench::faultsim::{run_faultsim_opts, FaultReport, FaultsimOpts, WatchdogReport};
 use spp_bench::journal::{CellStatus, Entry, Journal};
-use spp_bench::kv::{run_kv_study, KvReport};
-use spp_bench::litmus::{run_litmus, LitmusReport, ModelKnob};
-use spp_bench::multicore::run_multicore_study;
-use spp_bench::optimize::{run_optimize_study, OptCell, OptimizeCellSpec, OptimizeReport};
+use spp_bench::kv::{run_kv_opts, KvReport};
+use spp_bench::litmus::{run_litmus_opts, LitmusOpts, LitmusReport, ModelKnob};
+use spp_bench::multicore::run_multicore_opts;
+use spp_bench::optimize::{run_optimize_opts, OptCell, OptimizeCellSpec, OptimizeReport};
 use spp_bench::profile::{run_profile, ProfileReport};
 use spp_bench::{json, schema, Experiment, Harness, MulticoreReport};
 use spp_pmem::Variant;
@@ -82,31 +82,31 @@ fn crashfuzz_document_is_stable() {
 
 #[test]
 fn faultsim_document_is_stable() {
-    let rep = run_faultsim(&harness());
+    let rep = run_faultsim_opts(&harness(), FaultsimOpts::default());
     check("faultsim.json", &rep.render_json(), schema::FAULTSIM);
 }
 
 #[test]
 fn multicore_document_is_stable() {
-    let rep = run_multicore_study(&harness());
+    let rep = run_multicore_opts(&harness(), None);
     check("multicore.json", &rep.render_json(), schema::MULTICORE);
 }
 
 #[test]
 fn kv_document_is_stable() {
-    let rep = run_kv_study(&harness());
+    let rep = run_kv_opts(&harness(), None);
     check("kv.json", &rep.render_json(), schema::KV);
 }
 
 #[test]
 fn litmus_document_is_stable() {
-    let rep = run_litmus(&harness());
+    let rep = run_litmus_opts(&harness(), LitmusOpts::default());
     check("litmus.json", &rep.render_json(), schema::LITMUS);
 }
 
 #[test]
 fn optimize_document_is_stable() {
-    let rep = run_optimize_study(&harness(), BenchId::LinkedList, Variant::LogP);
+    let rep = run_optimize_opts(&harness(), BenchId::LinkedList, Variant::LogP, None);
     check("optimize.json", &rep.render_json(), schema::OPTIMIZE);
 }
 
@@ -184,7 +184,6 @@ fn a_u64_max_seed_is_written_exactly_in_every_document() {
             scale,
             seed,
             ops_per_core: 1,
-            storm_bound: 64,
             cells: Vec::new(),
             replayed: 0,
         }
